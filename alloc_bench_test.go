@@ -355,6 +355,61 @@ func TestSnapshotAllocBudget(t *testing.T) {
 	}
 }
 
+// scanAllocStructures are the LLX/SCX trees whose RangeScan and Ascend run
+// through the shared atomic scan (lbst.Scan).
+var scanAllocStructures = []string{"Chromatic", "Chromatic6", "RAVL", "EBST"}
+
+// TestRangeScanAllocBudget fails if a steady-state RangeScan or Ascend
+// allocates on any LLX/SCX tree. The scan captures its snapshot view on the
+// caller's stack and releases it before returning, so unlike Snapshot() it
+// must not allocate even the view handle. The callback is built once, outside
+// the measured loop. Under -tags noepoch scans fall back to the Successor
+// loop, which the budget does not cover.
+func TestRangeScanAllocBudget(t *testing.T) {
+	if !epoch.Enabled {
+		t.Skip("scans fall back to the Successor loop without epoch reclamation (noepoch build)")
+	}
+	for _, name := range scanAllocStructures {
+		factory, ok := bench.Lookup(name)
+		if !ok {
+			t.Fatalf("%s not registered", name)
+		}
+		d := factory.New()
+		const keys = 1 << 10
+		for i := int64(0); i < keys; i++ {
+			d.Insert(i, i)
+		}
+		type scanner interface {
+			dict.Ranger[int64, int64]
+			Ascend(fn func(k, v int64) bool) int
+		}
+		sc, ok := d.(scanner)
+		if !ok {
+			t.Fatalf("%s has no RangeScan/Ascend", name)
+		}
+		var sum int64
+		visit := func(k, v int64) bool { sum += v; return true }
+		i := 0
+		rangeAllocs := testing.AllocsPerRun(2000, func() {
+			lo := allocKey(i) & (keys - 1)
+			if n := sc.RangeScan(lo, lo+63, visit); n == 0 {
+				t.Fatalf("%s RangeScan(%d, %d) visited nothing", name, lo, lo+63)
+			}
+			i++
+		})
+		ascendAllocs := testing.AllocsPerRun(200, func() {
+			if n := sc.Ascend(visit); n != keys {
+				t.Fatalf("%s Ascend visited %d keys, want %d", name, n, keys)
+			}
+		})
+		if rangeAllocs != 0 || ascendAllocs != 0 {
+			t.Errorf("%s scans allocate: RangeScan %.2f allocs/op, Ascend %.2f allocs/op, budget is 0", name, rangeAllocs, ascendAllocs)
+		} else {
+			t.Logf("%s RangeScan and Ascend: 0 allocs/op", name)
+		}
+	}
+}
+
 // BenchmarkSnapshotCapture reports ns/op and allocs/op for a capture/release
 // pair on a filled tree: the O(1) claim in wall-clock form.
 func BenchmarkSnapshotCapture(b *testing.B) {

@@ -295,8 +295,8 @@ func main() {
 func printHealth(out *os.File, chaosOn bool) {
 	r := epoch.Stats()
 	fmt.Fprintln(out, "=== reclamation layer health (epoch.Stats) ===")
-	fmt.Fprintf(out, "epoch %d: %d pinned slots, %d stalled slots, %d snapshot pins\n",
-		r.Epoch, r.PinnedSlots, r.StalledSlots, r.SnapPins)
+	fmt.Fprintf(out, "epoch %d: %d pinned slots, %d stalled slots, %d snapshot pins (%d stalled)\n",
+		r.Epoch, r.PinnedSlots, r.StalledSlots, r.SnapPins, r.StalledSnapPins)
 	fmt.Fprintf(out, "pending %d (parked %d, unscanned %d, by age %v)\n",
 		r.Pending, r.Parked, r.PendingUnscanned, r.PendingByAge)
 	fmt.Fprintf(out, "advance fails %d, free refusals %d, degraded drops %d, evictions %d (recovered %d)\n",

@@ -19,6 +19,8 @@ package repro
 import (
 	"fmt"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bench"
@@ -26,6 +28,7 @@ import (
 	"repro/internal/dict"
 	"repro/internal/dict/dicttest"
 	"repro/internal/ebst"
+	"repro/internal/epoch"
 	"repro/internal/lockavl"
 	"repro/internal/ravl"
 	"repro/internal/seqrbt"
@@ -595,6 +598,159 @@ func TestSnapshotAdapterFallback(t *testing.T) {
 	l.Insert(1, 999)
 	if v, ok := view.Get(1); !ok || v != 999 {
 		t.Fatalf("adapter view missed a live update: (%d,%v)", v, ok)
+	}
+}
+
+// successorer is the Successor query the planted stepped scan is built on.
+type successorer interface {
+	Successor(key int64) (int64, int64, bool)
+}
+
+// atomicScanner is the scan surface of the LLX/SCX trees that
+// TestRangeScanAtomicConcurrent checks.
+type atomicScanner interface {
+	dict.IntMap
+	successorer
+	RangeScan(lo, hi int64, fn func(k, v int64) bool) int
+	Ascend(fn func(k, v int64) bool) int
+}
+
+// checkScanRun is the atomicity checker of TestRangeScanAtomicConcurrent.
+// The writer there keeps the key set a contiguous window with value == key,
+// so a scan that observed one instant reports a run of consecutive keys with
+// value == key. A scan assembled from steps at different instants can skip
+// keys the window slid past between two steps, which shows as a gap.
+func checkScanRun(keys, vals []int64) error {
+	for i, k := range keys {
+		if vals[i] != k {
+			return fmt.Errorf("key %d reported with value %d", k, vals[i])
+		}
+		if i > 0 && k != keys[i-1]+1 {
+			return fmt.Errorf("scan %v is not a run of consecutive keys (gap after %d)", keys, keys[i-1])
+		}
+	}
+	return nil
+}
+
+// steppedScan is the planted non-atomic scan: the per-key Successor loop the
+// trees used before scans captured a snapshot, with a hook between steps.
+type steppedScan struct {
+	succ    successorer
+	between func()
+}
+
+func (s steppedScan) RangeScan(lo, hi int64, fn func(k, v int64) bool) int {
+	n := 0
+	for k, v, ok := s.succ.Successor(lo - 1); ok && k <= hi; k, v, ok = s.succ.Successor(k) {
+		n++
+		if !fn(k, v) {
+			break
+		}
+		s.between()
+	}
+	return n
+}
+
+// TestRangeScanAtomicConcurrent checks that RangeScan and Ascend on every
+// LLX/SCX tree are atomic, not just per-step linearizable. A writer slides a
+// contiguous key window [a, b] to the right (insert b+1, then delete a) while
+// readers scan it. At any instant the window holds width or width+1
+// consecutive keys, so every scan must report a run of consecutive keys with
+// value == key; an Ascend must report width or width+1 keys, and a RangeScan
+// over [a0, a0+width-1] for an earlier-read window start a0 must end at its
+// upper bound (the window's top only grows). First the checker is shown to
+// have teeth: the old Successor loop, with the window slid between its steps,
+// must be flagged. Under -tags noepoch scans are that loop, so only the
+// planted check runs.
+func TestRangeScanAtomicConcurrent(t *testing.T) {
+	const width = 16
+	slides := 5000
+	if testing.Short() {
+		slides = 1000
+	}
+	for _, tgt := range templateTreeTargets(t) {
+		t.Run(tgt.Name, func(t *testing.T) {
+			d, ok := tgt.New().(atomicScanner)
+			if !ok {
+				t.Fatalf("%s has no RangeScan/Ascend", tgt.Name)
+			}
+			for k := int64(0); k < width; k++ {
+				d.Insert(k, k)
+			}
+			var lo atomic.Int64 // the window is [lo, lo+width-1] between slides
+			slide := func() {
+				a := lo.Load()
+				d.Insert(a+width, a+width)
+				d.Delete(a)
+				lo.Store(a + 1)
+			}
+
+			planted := steppedScan{succ: d, between: func() { slide(); slide() }}
+			var keys, vals []int64
+			collect := func(k, v int64) bool {
+				keys, vals = append(keys, k), append(vals, v)
+				return true
+			}
+			a0 := lo.Load()
+			planted.RangeScan(a0, a0+width-1, collect)
+			if checkScanRun(keys, vals) == nil {
+				t.Fatalf("checker accepted the stepped Successor scan %v, which the window slid under", keys)
+			}
+			if !epoch.Enabled {
+				t.Skip("scans fall back to the per-step Successor loop without epoch reclamation (noepoch build)")
+			}
+
+			var wg sync.WaitGroup
+			var done atomic.Bool
+			var scans atomic.Int64
+			errs := make(chan error, 2)
+			for r := 0; r < 2; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					var keys, vals []int64
+					collect := func(k, v int64) bool {
+						keys, vals = append(keys, k), append(vals, v)
+						return true
+					}
+					for !done.Load() {
+						keys, vals = keys[:0], vals[:0]
+						a0 := lo.Load()
+						hi := a0 + width - 1
+						d.RangeScan(a0, hi, collect)
+						err := checkScanRun(keys, vals)
+						if err == nil && len(keys) > 0 && keys[len(keys)-1] != hi {
+							err = fmt.Errorf("RangeScan(%d, %d) = %v stops short of the window top", a0, hi, keys)
+						}
+						if err == nil {
+							keys, vals = keys[:0], vals[:0]
+							d.Ascend(collect)
+							if err = checkScanRun(keys, vals); err == nil && len(keys) != width && len(keys) != width+1 {
+								err = fmt.Errorf("Ascend reported %d keys %v, want %d or %d", len(keys), keys, width, width+1)
+							}
+						}
+						if err != nil {
+							errs <- err
+							return
+						}
+						scans.Add(1)
+					}
+				}()
+			}
+			for i := 0; i < slides; i++ {
+				slide()
+			}
+			done.Store(true)
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			if scans.Load() == 0 {
+				t.Fatal("readers completed no scans")
+			}
+			t.Logf("%d scan pairs over %d window slides, all atomic", scans.Load(), slides)
+		})
 	}
 }
 

@@ -59,15 +59,17 @@
 // and the returned frozen view answers Get/RangeScan/Ascend by rewinding
 // newer nodes through their version chains - no validation, no retries, no
 // CASes on the read path. SnapshotDiff enumerates the changes between two
-// captures, skipping unchanged subtrees by pointer equality. The capture
-// protocol (stamp-before-install bracketing, read-version-then-drain) is
+// captures, skipping unchanged subtrees by pointer equality. The trees' own
+// RangeScan and Ascend capture such a view on the stack, walk it and
+// release it, so every tree scan is atomic. The capture protocol
+// (stamp-before-install bracketing, read-version-then-drain) is
 // exhaustively schedule-enumerated under -tags sched and argued in
 // DESIGN.md ("Versioned snapshots").
 //
 // The workload generator covers the paper's uniform operation mixes plus a
 // zipfian (hot-key) key distribution, a range-scan mix share and a
-// scan-mode dimension (live validate-and-retry scans versus per-scan
-// frozen snapshots); the Figure-8 grid and cmd/chromatic-bench sweep all
+// scan-mode dimension (each structure's own RangeScan versus a per-scan
+// Snapshot() handle); the Figure-8 grid and cmd/chromatic-bench sweep all
 // of them (-mixes, -dists, -scanspan, -scanmode), with per-scan p50/p99
 // latency quantiles reported for scanning cells.
 //

@@ -249,19 +249,14 @@ type Tree[K, V any] struct {
 	// construction so retireNode never allocates a closure.
 	freeNodeFn epoch.Func
 
-	// gver, snapLive, fastWriters and the root forest mirror the
-	// versioned-snapshot state of lbst.Tree; see internal/lbst/snapshot.go.
+	// gver, snapLive and fastWriters mirror the versioned-snapshot state of
+	// lbst.Tree; see internal/lbst/snapshot.go.
 	gver        atomic.Uint64
 	snapLive    atomic.Int64
 	fastWriters atomic.Int64
-	roots       [rootHistory]atomic.Pointer[node[K, V]]
-	rootsIdx    atomic.Uint64
 
 	stats Stats
 }
-
-// rootHistory bounds the retained root forest, as in internal/lbst.
-const rootHistory = 8
 
 // config collects the option-controlled settings, so one Option type serves
 // every key/value instantiation of Tree.
@@ -303,10 +298,10 @@ func NewLess[K, V any](less func(a, b K) bool, opts ...Option) *Tree[K, V] {
 		return true
 	}
 	// Commit hook of the versioned-snapshot layer: stamp the installed
-	// subtree root and its prev link before the update CAS publishes it, and
-	// publish top-level roots into the bounded forest. Idempotent, as every
-	// helper invokes it; see internal/lbst for the full argument.
-	t.descPool.OnCommit = func(fld *atomic.Pointer[node[K, V]], old, new *node[K, V]) {
+	// subtree root and its prev link before the update CAS publishes it.
+	// Idempotent, as every helper invokes it; see internal/lbst for the full
+	// argument.
+	t.descPool.OnCommit = func(old, new *node[K, V]) {
 		// Stamp→install bracket, closed by OnInstalled after the update CAS;
 		// Snapshot reads the version counter and then drains fastWriters.
 		// See the lbst commit hook for the full ordering argument.
@@ -315,9 +310,6 @@ func NewLess[K, V any](less func(a, b K) bool, opts ...Option) *Tree[K, V] {
 			new.prev.Store(old)
 			sched.Point(sched.PointVerStamp)
 			new.snapVer.CompareAndSwap(verPending, t.gver.Add(1))
-		}
-		if fld == &t.entry.left {
-			t.roots[t.rootsIdx.Add(1)%rootHistory].Store(new)
 		}
 	}
 	t.descPool.OnInstalled = func() { t.fastWriters.Add(-1) }

@@ -15,11 +15,10 @@ import (
 // these methods are thin wrappers; only the update path (chromatic.go,
 // rebalance.go) stays hand-unrolled, exactly as the paper's pseudocode does.
 //
-// Each wrapper pins the epoch for the duration of the query so that nodes
-// reached by the traversal cannot be recycled underneath it. RangeScan and
-// Ascend hold a single pin across the whole scan: the scan is not atomic,
-// but keeping one pin is cheaper than one per step, and reclamation only
-// stalls for the scan's duration, not forever.
+// Each point-query wrapper pins the epoch for the duration of the query so
+// that nodes reached by the traversal cannot be recycled underneath it.
+// RangeScan and Ascend instead go through lbst.Scan, the shared atomic scan:
+// capture an O(1) snapshot, walk it in order, release it.
 
 // Successor returns the smallest key strictly greater than key together with
 // its value, or ok=false if no such key exists.
@@ -39,25 +38,24 @@ func (t *Tree[K, V]) Predecessor(key K) (k K, v V, ok bool) {
 	return k, v, ok
 }
 
-// RangeScan calls fn for every key in [lo, hi] in ascending order, using a
-// point probe for lo followed by repeated Successor queries. It returns the
-// number of keys visited. If fn returns false the scan stops early. The scan
-// is not atomic as a whole: each step is individually linearizable.
+// RangeScan calls fn for every key in [lo, hi] in ascending order and
+// returns the number of keys visited. If fn returns false the scan stops
+// early. The scan is atomic: it walks one O(1) snapshot of the tree (see
+// lbst.Scan), so it reports exactly the keys in range at a single instant, in
+// O(log n + span) with no retries. Under -tags noepoch it degrades to a
+// Successor loop whose steps are each linearizable but not the scan as a
+// whole.
 func (t *Tree[K, V]) RangeScan(lo, hi K, fn func(k K, v V) bool) int {
-	g := epoch.Pin()
-	n := lbst.RangeScan(t.entry, t.less, lo, hi, fn)
-	epoch.Unpin(g)
-	return n
+	return lbst.Scan[*node[K, V], node[K, V], K, V](t.entry, t.less, &t.gver, &t.snapLive, &t.fastWriters, true, lo, hi, fn)
 }
 
 // Ascend calls fn for every key in the dictionary in ascending order and
 // returns the number of keys visited. If fn returns false the scan stops
-// early. Each step is individually linearizable.
+// early. Like RangeScan it is atomic, and per-step linearizable under
+// -tags noepoch.
 func (t *Tree[K, V]) Ascend(fn func(k K, v V) bool) int {
-	g := epoch.Pin()
-	n := lbst.Ascend(t.entry, t.less, fn)
-	epoch.Unpin(g)
-	return n
+	var zero K
+	return lbst.Scan[*node[K, V], node[K, V], K, V](t.entry, t.less, &t.gver, &t.snapLive, &t.fastWriters, false, zero, zero, fn)
 }
 
 // Snapshot captures the tree's current state in O(1) and returns its frozen
@@ -69,18 +67,6 @@ func (t *Tree[K, V]) Ascend(fn func(k K, v V) bool) int {
 // ("Versioned snapshots") for the protocol and its safety argument.
 func (t *Tree[K, V]) Snapshot() dict.SnapshotView[K, V] {
 	return lbst.CaptureSnap[*node[K, V], node[K, V], K, V](t.entry, t.less, &t.gver, &t.snapLive, &t.fastWriters)
-}
-
-// Versions returns the commit ticks of the top-level subtree roots currently
-// retained in the tree's bounded root forest, unordered. Observability only.
-func (t *Tree[K, V]) Versions() []uint64 {
-	var out []uint64
-	for i := range t.roots {
-		if n := t.roots[i].Load(); n != nil {
-			out = append(out, n.snapVer.Load())
-		}
-	}
-	return out
 }
 
 // Min returns the smallest key in the dictionary and its value, or ok=false

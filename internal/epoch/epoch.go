@@ -249,14 +249,10 @@ func (g *Guard) drain(now uint64) {
 		items := cur.items
 		cur.items = items[:0]
 		cur.epoch = now
-		if snapCount.Load() != 0 && snapHeld(oldEpoch) {
-			// A live snapshot pinned at or below the bucket's epoch may still
-			// reach these objects: defer them behind the pin instead of
-			// freeing (see snap.go).
-			park(oldEpoch, items)
-			g.pending.Add(int64(-len(items)))
-			clear(items)
-		} else {
+		// A live snapshot pinned at or below the bucket's epoch may still
+		// reach these objects: holdBack defers them behind the pin instead of
+		// freeing (see snap.go).
+		if !g.holdBack(oldEpoch, items) {
 			g.runFree(cur, items)
 			// Refusals were re-appended over the front of the same backing
 			// array (they never outnumber what was read, so no reallocation);
@@ -283,10 +279,7 @@ func (g *Guard) drain(now uint64) {
 		}
 		items := b.items
 		b.items = items[:0]
-		if snapCount.Load() != 0 && snapHeld(b.epoch) {
-			park(b.epoch, items)
-			g.pending.Add(int64(-len(items)))
-			clear(items)
+		if g.holdBack(b.epoch, items) {
 			continue
 		}
 		g.runFree(cur, items)

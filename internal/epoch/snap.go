@@ -24,9 +24,18 @@ import (
 //     period and then recycle normally.
 //
 // The registry is a fixed array of padded slots claimed by CAS, exactly like
-// the operation slots, so SnapPin allocates nothing.
+// the operation slots, so SnapPin allocates nothing. It has as many slots as
+// the operation registry: every tree RangeScan holds a snapshot pin for its
+// duration, so concurrent scanners must get no tighter bound than ops do.
+//
+// A snapshot pin held past the watchdog's stall threshold (a scan whose
+// callback blocks, a leaked handle) would park every later retiree without
+// bound. The watchdog marks such a pin stalled; retirees it covers are then
+// dropped to the garbage collector instead of parked — the snapshot-pin
+// analogue of degraded mode, and safe for the same reason: the GC sees the
+// stalled holder's references, the pools never get the object back.
 
-const numSnapSlots = 64
+const numSnapSlots = numSlots
 
 // SnapGuard is one long-lived snapshot pin. It is a slot in a fixed registry;
 // holders obtain one from SnapPin and must call Release exactly once.
@@ -35,7 +44,15 @@ type SnapGuard struct {
 	// the snapshot registered. Recording a stale (smaller) epoch is safe: it
 	// only parks more.
 	epoch atomic.Uint64
-	_     [56]byte
+	// claims counts registrations of the slot, so the watchdog can tell a pin
+	// held across its scans from one released and re-claimed at the same
+	// epoch.
+	claims atomic.Uint64
+	// stalled is set and cleared only by the watchdog: while set (and the
+	// slot claimed), retirees the pin covers drop to the GC instead of
+	// parking.
+	stalled atomic.Bool
+	_       [44]byte
 }
 
 var (
@@ -51,6 +68,13 @@ var (
 	parkedMu    sync.Mutex
 	parked      []parkedEntry
 	parkedCount atomic.Int64
+
+	// unparkBuf is the scratch list unparkEligible moves eligible retirees
+	// into before re-retiring them outside parkedMu; unparkMu serializes its
+	// reuse, so a Release allocates nothing in steady state. Lock order:
+	// unparkMu before parkedMu.
+	unparkMu  sync.Mutex
+	unparkBuf []parkedEntry
 )
 
 type parkedEntry struct {
@@ -70,9 +94,11 @@ func SnapPin() *SnapGuard {
 		return nil
 	}
 	e := globalEpoch.Load()
+	h := slotHint()
 	for tries := 0; ; tries++ {
-		s := &snapSlots[tries%numSnapSlots]
+		s := &snapSlots[(h+uint64(tries))%numSnapSlots]
 		if s.epoch.Load() == 0 && s.epoch.CompareAndSwap(0, e) {
+			s.claims.Add(1)
 			snapCount.Add(1)
 			return s
 		}
@@ -95,25 +121,47 @@ func (s *SnapGuard) Release() {
 	unparkEligible()
 }
 
-// minSnapEpoch returns the smallest epoch among live snapshot pins, and
-// whether any pin is live.
-func minSnapEpoch() (uint64, bool) {
-	min, any := uint64(0), false
+// snapMins scans the registry for the smallest epoch among live snapshot
+// pins and among the live pins the watchdog holds stalled; 0 means none
+// (epochs start at 1). A retiree of epoch e is covered by a pin registered at
+// or below e.
+func snapMins() (live, stalled uint64) {
 	for i := range snapSlots {
-		if e := snapSlots[i].epoch.Load(); e != 0 && (!any || e < min) {
-			min, any = e, true
+		s := &snapSlots[i]
+		e := s.epoch.Load()
+		if e == 0 {
+			continue
+		}
+		if live == 0 || e < live {
+			live = e
+		}
+		if s.stalled.Load() && (stalled == 0 || e < stalled) {
+			stalled = e
 		}
 	}
-	return min, any
+	return live, stalled
 }
 
-// snapHeld reports whether a bucket retired at epoch be must be parked
-// instead of freed: some live snapshot pin registered at or below be, so the
-// snapshot may still reach objects in the bucket. Callers should gate on
-// snapCount first; this re-scans the registry.
-func snapHeld(be uint64) bool {
-	min, any := minSnapEpoch()
-	return any && be >= min
+// holdBack diverts a grace-complete batch retired at epoch be that a live
+// snapshot may still reach: it is parked behind the covering pins, or dropped
+// to the garbage collector if one of them is stalled. It reports whether it
+// took the batch; the caller frees the batch otherwise.
+func (g *Guard) holdBack(be uint64, items []entry) bool {
+	if len(items) == 0 || snapCount.Load() == 0 {
+		return false
+	}
+	live, stalled := snapMins()
+	switch {
+	case stalled != 0 && be >= stalled:
+		degradedDrops.Add(int64(len(items)))
+	case live != 0 && be >= live:
+		park(be, items)
+	default:
+		return false
+	}
+	g.pending.Add(int64(-len(items)))
+	clear(items)
+	return true
 }
 
 // park moves a drained-but-held batch onto the global parked list.
@@ -133,12 +181,14 @@ func unparkEligible() {
 	if parkedCount.Load() == 0 {
 		return
 	}
-	min, any := minSnapEpoch()
+	unparkMu.Lock()
+	defer unparkMu.Unlock()
+	live, _ := snapMins()
 	parkedMu.Lock()
-	var out []parkedEntry
+	out := unparkBuf[:0]
 	kept := parked[:0]
 	for _, pe := range parked {
-		if any && pe.epoch >= min {
+		if live != 0 && pe.epoch >= live {
 			kept = append(kept, pe)
 		} else {
 			out = append(out, pe)
@@ -147,15 +197,40 @@ func unparkEligible() {
 	clear(parked[len(kept):])
 	parked = kept
 	parkedMu.Unlock()
-	if len(out) == 0 {
+	if len(out) != 0 {
+		parkedCount.Add(int64(-len(out)))
+		g := Pin()
+		for _, pe := range out {
+			Retire(g, pe.obj, pe.free)
+		}
+		Unpin(g)
+		clear(out)
+	}
+	unparkBuf = out[:0]
+}
+
+// dropStalledParked drops to the garbage collector every parked retiree a
+// stalled snapshot pin covers. The watchdog calls it on every scan while a
+// stall is active, which bounds how long a retiree that raced the stall mark
+// into the parked list stays there.
+func dropStalledParked() {
+	_, stalled := snapMins()
+	if stalled == 0 || parkedCount.Load() == 0 {
 		return
 	}
-	parkedCount.Add(int64(-len(out)))
-	g := Pin()
-	for _, pe := range out {
-		Retire(g, pe.obj, pe.free)
+	parkedMu.Lock()
+	kept := parked[:0]
+	for _, pe := range parked {
+		if pe.epoch < stalled {
+			kept = append(kept, pe)
+		}
 	}
-	Unpin(g)
+	dropped := int64(len(parked) - len(kept))
+	clear(parked[len(kept):])
+	parked = kept
+	parkedMu.Unlock()
+	parkedCount.Add(-dropped)
+	degradedDrops.Add(dropped)
 }
 
 // SnapPinned returns the number of live snapshot pins. Test and diagnostic

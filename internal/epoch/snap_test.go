@@ -177,3 +177,101 @@ func TestDiscardAllDropsParked(t *testing.T) {
 	}
 	s.Release()
 }
+
+// TestSnapRegistryMatchesOpSlots: every tree scan holds a snapshot pin, so
+// the snapshot registry must admit as many concurrent pins as there are
+// operation slots, each on its own slot.
+func TestSnapRegistryMatchesOpSlots(t *testing.T) {
+	if !Enabled {
+		t.Skip("epoch reclamation disabled (noepoch build)")
+	}
+	if numSnapSlots != numSlots {
+		t.Fatalf("numSnapSlots = %d, want numSlots = %d", numSnapSlots, numSlots)
+	}
+	held := make(map[*SnapGuard]bool, numSlots)
+	for i := 0; i < numSlots; i++ {
+		s := SnapPin()
+		if held[s] {
+			t.Fatalf("pin %d reused a slot that is still held", i)
+		}
+		held[s] = true
+	}
+	if got := SnapPinned(); got != numSlots {
+		t.Fatalf("SnapPinned() = %d with %d pins held, want %d", got, numSlots, numSlots)
+	}
+	for s := range held {
+		s.Release()
+	}
+	if got := SnapPinned(); got != 0 {
+		t.Fatalf("SnapPinned() = %d after releasing every pin, want 0", got)
+	}
+}
+
+// TestStalledSnapPinDropsInsteadOfParking: a retiree covered by a snapshot
+// pin the watchdog holds stalled must be dropped to the garbage collector —
+// neither parked behind the pin nor recycled through its callback — while a
+// pin that is not stalled keeps parking.
+func TestStalledSnapPinDropsInsteadOfParking(t *testing.T) {
+	if !Enabled {
+		t.Skip("epoch reclamation disabled (noepoch build)")
+	}
+	Drain()
+	discardParked()
+	baseDrops := degradedDrops.Load()
+
+	s := SnapPin()
+	defer s.Release()
+	s.stalled.Store(true)
+	var freed atomic.Int64
+	g := Pin()
+	for i := 0; i < 10; i++ {
+		Retire(g, new(int), countingFree(&freed))
+	}
+	Unpin(g)
+	if p := Drain(); p != 0 {
+		t.Fatalf("Pending() = %d under a stalled pin, want 0 (parked %d)", p, ParkedCount())
+	}
+	if freed.Load() != 0 {
+		t.Fatalf("%d retirees covered by a stalled snapshot pin were recycled", freed.Load())
+	}
+	if got := degradedDrops.Load() - baseDrops; got != 10 {
+		t.Fatalf("dropped %d retirees under the stalled pin, want 10", got)
+	}
+
+	s.stalled.Store(false)
+	g = Pin()
+	Retire(g, new(int), countingFree(&freed))
+	Unpin(g)
+	Drain()
+	if ParkedCount() != 1 || freed.Load() != 0 {
+		t.Fatalf("after un-stalling: parked %d, freed %d; want the retiree parked", ParkedCount(), freed.Load())
+	}
+}
+
+// TestUnparkAllocationFree: Release un-parks through a reused scratch list,
+// so re-retiring parked objects allocates nothing in steady state.
+func TestUnparkAllocationFree(t *testing.T) {
+	if !Enabled {
+		t.Skip("epoch reclamation disabled (noepoch build)")
+	}
+	Drain()
+	discardParked()
+	var freed atomic.Int64
+	free := countingFree(&freed)
+	items := make([]entry, 16)
+	batch := func() {
+		for i := range items {
+			items[i] = entry{obj: &freed, free: free}
+		}
+		park(1, items) // below every live pin's epoch: eligible at once
+		unparkEligible()
+		Drain()
+	}
+	batch() // warm the parked list, the scratch list and the retire buckets
+	if allocs := testing.AllocsPerRun(100, batch); allocs != 0 {
+		t.Fatalf("park/unpark/drain cycle allocates %.2f allocs/op, want 0", allocs)
+	}
+	if ParkedCount() != 0 {
+		t.Fatalf("ParkedCount() = %d after unpark+drain, want 0", ParkedCount())
+	}
+}

@@ -15,6 +15,10 @@ type Report struct {
 	StalledSlots int
 	// SnapPins is the number of live long-lived snapshot pins.
 	SnapPins int64
+	// StalledSnapPins is the subset of SnapPins the watchdog currently holds
+	// stalled: retirees they cover drop to the garbage collector instead of
+	// parking.
+	StalledSnapPins int
 	// Pending is the total retirees whose grace period has not completed,
 	// including snapshot-parked ones (same quantity as Pending()).
 	Pending int64
@@ -63,6 +67,11 @@ func Stats() Report {
 	r.DegradedDrops = degradedDrops.Load()
 	r.Evictions = evictions.Load()
 	r.Recovered = recoveries.Load()
+	for i := range snapSlots {
+		if s := &snapSlots[i]; s.epoch.Load() != 0 && s.stalled.Load() {
+			r.StalledSnapPins++
+		}
+	}
 	for i := range slots {
 		g := &slots[i]
 		pending := g.pending.Load()

@@ -31,6 +31,13 @@ import (
 // concurrent eviction could slip in and the decrement would be lost — so
 // recovery lags by at most one scan interval, which only extends degraded
 // mode conservatively.
+//
+// Snapshot pins (SnapPin) never block the advance, so they are never
+// evicted; a stalled one instead parks every later retiree it covers. The
+// watchdog marks a snapshot pin held across stallAfter (same epoch, same
+// claim) as stalled: its parked retirees, and every one it would park later,
+// drop to the garbage collector until the holder releases. A false positive
+// only forgoes recycling.
 type Watchdog struct {
 	interval   time.Duration
 	stallAfter time.Duration
@@ -43,6 +50,25 @@ type Watchdog struct {
 type evictedSlot struct {
 	idx  int
 	orig uint64
+}
+
+// snapClaim identifies one registration of a snapshot slot.
+type snapClaim struct {
+	epoch, claims uint64
+}
+
+// stalledSnap records one snapshot pin the watchdog marked stalled.
+type stalledSnap struct {
+	idx    int
+	claims uint64
+}
+
+// snapWatch is the watchdog's view of the snapshot registry: the claim each
+// slot was last seen at, since when, and the pins currently marked stalled.
+type snapWatch struct {
+	last    [numSnapSlots]snapClaim
+	since   [numSnapSlots]time.Time
+	stalled []stalledSnap
 }
 
 // StartWatchdog launches a watchdog goroutine that scans the slot array
@@ -82,6 +108,8 @@ func (w *Watchdog) run() {
 		lastVal [numSlots]uint64
 		since   [numSlots]time.Time
 		evicted []evictedSlot
+
+		snaps snapWatch
 	)
 	ticker := time.NewTicker(w.interval)
 	defer ticker.Stop()
@@ -96,6 +124,9 @@ func (w *Watchdog) run() {
 				// share — is over.
 				slots[ev.idx].state.CompareAndSwap(stalledState, ev.orig)
 				degradedPins.Add(-1)
+			}
+			for _, st := range snaps.stalled {
+				snapSlots[st.idx].stalled.Store(false)
 			}
 			return
 		case now := <-ticker.C:
@@ -144,14 +175,54 @@ func (w *Watchdog) run() {
 				}
 			}
 
-			if len(evicted) != 0 {
-				// An eviction unblocked the advance; drain so the stalled
-				// backlog is actually dropped (to GC, in degraded mode)
-				// instead of waiting for organic Retire traffic.
+			snaps.scan(now, w.stallAfter)
+
+			if len(evicted) != 0 || len(snaps.stalled) != 0 {
+				// An eviction unblocked the advance, or a stalled snapshot
+				// pin stopped parking; drain so the stalled backlog is
+				// actually dropped (to GC) instead of waiting for organic
+				// Retire traffic.
+				dropStalledParked()
 				Drain()
 			} else {
 				tryAdvance()
 			}
 		}
+	}
+}
+
+// scan is the watchdog's pass over the snapshot registry. It first un-marks
+// stalled pins whose holder has released (the slot is free or holds a newer
+// claim), then marks every pin seen at the same claim for at least
+// stallAfter.
+func (sw *snapWatch) scan(now time.Time, stallAfter time.Duration) {
+	kept := sw.stalled[:0]
+	for _, st := range sw.stalled {
+		s := &snapSlots[st.idx]
+		if s.epoch.Load() == 0 || s.claims.Load() != st.claims {
+			s.stalled.Store(false)
+			continue
+		}
+		kept = append(kept, st)
+	}
+	sw.stalled = kept
+	for i := range snapSlots {
+		s := &snapSlots[i]
+		c := snapClaim{s.epoch.Load(), s.claims.Load()}
+		if c.epoch == 0 || s.stalled.Load() {
+			sw.last[i] = snapClaim{}
+			continue
+		}
+		if c != sw.last[i] {
+			sw.last[i] = c
+			sw.since[i] = now
+			continue
+		}
+		if now.Sub(sw.since[i]) < stallAfter {
+			continue
+		}
+		s.stalled.Store(true)
+		sw.stalled = append(sw.stalled, stalledSnap{idx: i, claims: c.claims})
+		sw.last[i] = snapClaim{}
 	}
 }

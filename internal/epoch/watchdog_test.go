@@ -209,3 +209,85 @@ func TestStatsReportsShape(t *testing.T) {
 	}
 	Drain()
 }
+
+// TestWatchdogStallsSnapPin is the snapshot-pin half of bounded degradation:
+// a snapshot pin held past stallAfter parks every later retiree, so the
+// watchdog must mark it stalled, drop its parked backlog (and everything it
+// would park later) to the GC, report it in Stats, and un-mark it once the
+// holder releases.
+func TestWatchdogStallsSnapPin(t *testing.T) {
+	if !Enabled {
+		t.Skip("epoch reclamation disabled (noepoch build)")
+	}
+	Drain()
+	discardParked()
+	baseDrops := degradedDrops.Load()
+
+	s := SnapPin()
+	var freed atomic.Int64
+	retire := func(n int) {
+		g := Pin()
+		for i := 0; i < n; i++ {
+			Retire(g, new(int), countingFree(&freed))
+		}
+		Unpin(g)
+	}
+	retire(100)
+	Drain()
+	if ParkedCount() == 0 {
+		t.Fatal("retirees not parked behind a live snapshot pin")
+	}
+
+	w := StartWatchdog(2*time.Millisecond, 10*time.Millisecond)
+	waitFor(t, 5*time.Second, "snapshot pin stalled + parked backlog dropped", func() bool {
+		r := Stats()
+		return r.StalledSnapPins == 1 && r.Parked == 0 && r.Pending == 0
+	})
+	// Later retirees covered by the stalled pin drop instead of parking.
+	retire(100)
+	waitFor(t, 5*time.Second, "later retirees dropped", func() bool {
+		r := Stats()
+		return r.Parked == 0 && r.Pending == 0
+	})
+	if freed.Load() != 0 {
+		t.Fatalf("%d retirees covered by a stalled snapshot pin were recycled", freed.Load())
+	}
+	if degradedDrops.Load()-baseDrops != 200 {
+		t.Fatalf("dropped %d retirees, want 200", degradedDrops.Load()-baseDrops)
+	}
+
+	// The holder resumes and releases: the next scan un-marks the slot.
+	s.Release()
+	waitFor(t, 5*time.Second, "stall mark cleared", func() bool {
+		for i := range snapSlots {
+			if snapSlots[i].stalled.Load() {
+				return false
+			}
+		}
+		return true
+	})
+	w.Stop()
+	if r := Stats(); r.StalledSnapPins != 0 {
+		t.Fatalf("StalledSnapPins = %d after release, want 0", r.StalledSnapPins)
+	}
+}
+
+// TestStatsReportsStalledSnapPins: Stats counts exactly the claimed snapshot
+// pins that carry the watchdog's stall mark; a marked slot whose holder has
+// released is not a stalled pin.
+func TestStatsReportsStalledSnapPins(t *testing.T) {
+	if !Enabled {
+		t.Skip("epoch reclamation disabled (noepoch build)")
+	}
+	a, b := SnapPin(), SnapPin()
+	a.stalled.Store(true)
+	if r := Stats(); r.StalledSnapPins != 1 || r.SnapPins != 2 {
+		t.Fatalf("StalledSnapPins = %d, SnapPins = %d; want 1 of 2", r.StalledSnapPins, r.SnapPins)
+	}
+	a.Release()
+	if r := Stats(); r.StalledSnapPins != 0 {
+		t.Fatalf("StalledSnapPins = %d after the marked pin released, want 0", r.StalledSnapPins)
+	}
+	a.stalled.Store(false)
+	b.Release()
+}

@@ -358,17 +358,7 @@ type Tree[K, V any] struct {
 	// land after the capture's first read, and a node stamped at or below
 	// the captured version cannot still be waiting to be installed.
 	fastWriters atomic.Int64
-	// roots is the bounded multi-root forest: the commit hook publishes every
-	// newly installed top-level subtree root here with one atomic store,
-	// overwriting the oldest slot. Observability only — snapshot resolution
-	// walks from the entry sentinel — see Versions.
-	roots    [rootHistory]atomic.Pointer[Node[K, V]]
-	rootsIdx atomic.Uint64
 }
-
-// rootHistory bounds the root forest: only the most recent rootHistory
-// top-level roots are retained for Versions introspection.
-const rootHistory = 8
 
 // New returns an empty tree whose keys are ordered by less and whose balance
 // is governed by pol. The entry structure mirrors the chromatic tree's
@@ -394,9 +384,8 @@ func New[K, V any](less func(a, b K) bool, pol Policy[K, V]) *Tree[K, V] {
 	// node readable out of a mutable field is therefore always stamped, which
 	// is what makes ticks monotone along structural dependencies and a
 	// captured gver a consistent cut (DESIGN.md, "Versioned snapshots").
-	// Every helper calls the hook, so the stamp CAS makes it idempotent; the
-	// ring store is last-helper-wins, which is harmless for observability.
-	t.descPool.OnCommit = func(fld *atomic.Pointer[Node[K, V]], old, new *Node[K, V]) {
+	// Every helper calls the hook, so the stamp CAS makes it idempotent.
+	t.descPool.OnCommit = func(old, new *Node[K, V]) {
 		// Open the stamp→install bracket BEFORE the tick can be assigned;
 		// OnInstalled closes it after the update CAS. Snapshot reads gver and
 		// then drains fastWriters, so every node stamped at or below the
@@ -409,9 +398,6 @@ func New[K, V any](less func(a, b K) bool, pol Policy[K, V]) *Tree[K, V] {
 			new.prev.Store(old)
 			sched.Point(sched.PointVerStamp)
 			new.snapVer.CompareAndSwap(verPending, t.gver.Add(1))
-		}
-		if fld == &t.entry.left {
-			t.roots[t.rootsIdx.Add(1)%rootHistory].Store(new)
 		}
 	}
 	t.descPool.OnInstalled = func() { t.fastWriters.Add(-1) }
@@ -1201,26 +1187,23 @@ func (t *Tree[K, V]) Predecessor(key K) (k K, v V, ok bool) {
 }
 
 // RangeScan calls fn for every key in [lo, hi] in ascending order and
-// returns the number of keys visited; each step is individually
-// linearizable. If fn returns false the scan stops early. The whole scan
-// runs under one pinned guard; fn must not block indefinitely, since a
-// pinned operation holds back memory reclamation.
+// returns the number of keys visited. If fn returns false the scan stops
+// early. The scan is atomic: it walks one O(1) snapshot of the tree (capture,
+// in-order walk, release; see Scan), so it reports exactly the keys in range
+// at a single instant, in O(log n + span) with no retries. Under
+// -tags noepoch it degrades to a Successor loop whose steps are each
+// linearizable but not the scan as a whole.
 func (t *Tree[K, V]) RangeScan(lo, hi K, fn func(k K, v V) bool) int {
-	g := epoch.Pin()
-	n := RangeScan(t.entry, t.less, lo, hi, fn)
-	epoch.Unpin(g)
-	return n
+	return Scan(t.entry, t.less, &t.gver, &t.snapLive, &t.fastWriters, true, lo, hi, fn)
 }
 
 // Ascend calls fn for every key in the dictionary in ascending order and
-// returns the number of keys visited; each step is individually
-// linearizable. If fn returns false the scan stops early. Like RangeScan it
-// runs under one pinned guard.
+// returns the number of keys visited. If fn returns false the scan stops
+// early. Like RangeScan it is atomic, and per-step linearizable under
+// -tags noepoch.
 func (t *Tree[K, V]) Ascend(fn func(k K, v V) bool) int {
-	g := epoch.Pin()
-	n := Ascend(t.entry, t.less, fn)
-	epoch.Unpin(g)
-	return n
+	var zero K
+	return Scan(t.entry, t.less, &t.gver, &t.snapLive, &t.fastWriters, false, zero, zero, fn)
 }
 
 // Min returns the smallest key and its value, or ok=false if empty.

@@ -237,6 +237,8 @@ retry:
 // point probe for lo followed by repeated Successor queries. It returns the
 // number of keys visited. If fn returns false the scan stops early. The
 // scan is not atomic as a whole: each step is individually linearizable.
+// It costs O(span·log n); the trees scan through Scan, which walks one
+// snapshot instead and uses this loop only under -tags noepoch.
 func RangeScan[P View[N, K, V], N, K, V any](entry P, less func(K, K) bool, lo, hi K, fn func(k K, v V) bool) int {
 	count := 0
 	// The first key in range is lo itself if present, else lo's successor;
@@ -258,7 +260,8 @@ func RangeScan[P View[N, K, V], N, K, V any](entry P, less func(K, K) bool, lo, 
 // Ascend calls fn for every key in the dictionary in ascending order, using
 // Min followed by repeated Successor queries. It returns the number of keys
 // visited. If fn returns false the scan stops early. Each step is
-// individually linearizable.
+// individually linearizable. Like RangeScan it is Scan's -tags noepoch
+// fallback.
 func Ascend[P View[N, K, V], N, K, V any](entry P, less func(K, K) bool, fn func(k K, v V) bool) int {
 	count := 0
 	k, v, ok := Min[P, N, K, V](entry)

@@ -12,7 +12,9 @@ import (
 // through the same generic walk, the chromatic tree): Snapshot captures a
 // frozen point-in-time view in constant time, and scans over the view walk
 // plain pointers with zero VLX validation, zero retries and zero per-node
-// CASes. The full safety argument lives in DESIGN.md ("Versioned
+// CASes. The trees' own RangeScan and Ascend are built on it (Scan): capture
+// a view on the stack, walk it, release it, which makes every tree scan
+// atomic. The full safety argument lives in DESIGN.md ("Versioned
 // snapshots"); the mechanism in brief:
 //
 //   - every committed SCX stamps the subtree root it installs with a commit
@@ -171,6 +173,7 @@ func (s *Snap[P, N, K, V]) walk(n P, useLo bool, lo K, useHi bool, hi K, fn func
 		if (useLo && s.less(k, lo)) || (useHi && s.less(hi, k)) {
 			return 0, true
 		}
+		sched.Point(sched.PointSnapWalk)
 		if !fn(k, n.Value()) {
 			return 1, false
 		}
@@ -321,9 +324,19 @@ func (t *Tree[K, V]) snapshot() *Snap[*Node[K, V], Node[K, V], K, V] {
 }
 
 // CaptureSnap runs the capture protocol for any tree sharing the versioned
-// walk (the engine's trees and the chromatic tree): entry and less identify
-// the tree, gver its commit-tick counter, snapLive its live-snapshot count
-// and fastWriters its in-flight fast-path overwrite count.
+// walk (the engine's trees and the chromatic tree) and returns the view on
+// the heap: entry and less identify the tree, gver its commit-tick counter,
+// snapLive its live-snapshot count and fastWriters its in-flight fast-path
+// overwrite count. Under -tags noepoch the returned view is a weakly
+// consistent live view (Consistent reports false).
+func CaptureSnap[P VersionedView[N, K, V], N, K, V any](entry P, less func(K, K) bool, gver *atomic.Uint64, snapLive, fastWriters *atomic.Int64) *Snap[P, N, K, V] {
+	s := new(Snap[P, N, K, V])
+	s.capture(entry, less, gver, snapLive, fastWriters)
+	return s
+}
+
+// capture fills s in place, so a caller that keeps the view on its own stack
+// (Scan) captures without allocating.
 //
 // Order matters. The pin registers first so every later retire parks behind
 // it. snapLive rises next, the version is read, and only then do the
@@ -337,14 +350,12 @@ func (t *Tree[K, V]) snapshot() *Snap[*Node[K, V], Node[K, V], K, V] {
 // drain observes zero its update CAS has gone through — a covered node can
 // never surface mid-capture and un-freeze the view. (Draining before the
 // gver read has the opposite hole: a writer can open its bracket after the
-// drain and still stamp at or below the version read afterwards.) Under
-// -tags noepoch the returned view is a weakly consistent live view
-// (Consistent reports false).
-func CaptureSnap[P VersionedView[N, K, V], N, K, V any](entry P, less func(K, K) bool, gver *atomic.Uint64, snapLive, fastWriters *atomic.Int64) *Snap[P, N, K, V] {
-	s := &Snap[P, N, K, V]{entry: entry, less: less}
+// drain and still stamp at or below the version read afterwards.)
+func (s *Snap[P, N, K, V]) capture(entry P, less func(K, K) bool, gver *atomic.Uint64, snapLive, fastWriters *atomic.Int64) {
+	s.entry, s.less = entry, less
 	if !epoch.Enabled {
 		s.ver = ^uint64(0) // accept every node: a live view
-		return s
+		return
 	}
 	s.pin = epoch.SnapPin()
 	snapLive.Add(1)
@@ -352,18 +363,37 @@ func CaptureSnap[P VersionedView[N, K, V], N, K, V any](entry P, less func(K, K)
 	sched.Point(sched.PointSnapPublish)
 	s.ver = gver.Load()
 	sched.WaitZero(sched.PointSnapDrain, fastWriters)
-	return s
 }
 
-// Versions returns the commit ticks of the top-level subtree roots currently
-// retained in the tree's bounded root forest, unordered. Observability and
-// tests only: snapshot resolution does not consult the forest.
-func (t *Tree[K, V]) Versions() []uint64 {
-	var out []uint64
-	for i := range t.roots {
-		if n := t.roots[i].Load(); n != nil {
-			out = append(out, n.snapVer.Load())
+// Scan is the one range-scan protocol of every versioned tree: capture a
+// view on the caller's stack, walk it in order, release it. bounded selects
+// a RangeScan over [lo, hi]; otherwise the scan ascends over every key and
+// lo and hi are ignored. fn receives the keys in ascending order and stops
+// the scan by returning false; Scan returns the number of keys visited.
+//
+// The scan is atomic: every key it reports was present, with the value
+// reported, at the capture instant, and every key in range present at that
+// instant is reported (unless fn stops early). The walk costs O(log n + span)
+// with no validation and no retries. The view is released even if fn
+// panics. While fn runs the scan holds a snapshot pin, which parks
+// reclamation of the nodes the view can reach and routes this tree's
+// overwrites through leaf-replacement SCXs; a fn that stalls past the epoch
+// watchdog's threshold has its parked retirees dropped to the garbage
+// collector instead (see internal/epoch).
+//
+// Under -tags noepoch nothing can freeze a view, so the scan falls back to
+// the per-step-linearizable Successor loop (RangeScan and Ascend in
+// query.go).
+func Scan[P VersionedView[N, K, V], N, K, V any](entry P, less func(K, K) bool, gver *atomic.Uint64, snapLive, fastWriters *atomic.Int64, bounded bool, lo, hi K, fn func(k K, v V) bool) int {
+	if !epoch.Enabled {
+		if bounded {
+			return RangeScan(entry, less, lo, hi, fn)
 		}
+		return Ascend(entry, less, fn)
 	}
-	return out
+	var s Snap[P, N, K, V]
+	s.capture(entry, less, gver, snapLive, fastWriters)
+	defer s.Release()
+	n, _ := s.walk(s.entry, bounded, lo, bounded, hi, fn)
+	return n
 }

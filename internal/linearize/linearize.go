@@ -33,8 +33,10 @@
 // the step's emission, which is sound both for snapshot-based scans (every
 // pair was current at the capture instant, just after the invocation) and
 // for per-step-linearizable walks. Successor/Predecessor walks used as a
-// scan fallback use the enclosing read as the interval. Whole-scan
-// atomicity is deliberately not asserted.
+// scan fallback use the enclosing read as the interval. The checker asserts
+// per-step linearizability only; whole-scan atomicity of the LLX/SCX trees'
+// RangeScan and Ascend is checked by TestRangeScanAtomicConcurrent in the
+// module root's conformance_test.go.
 //
 // On violation, Check shrinks the offending per-key subhistory to a small
 // core that still has no linearization and formats a human-readable

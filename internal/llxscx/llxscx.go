@@ -409,7 +409,7 @@ func help[N any](d *descriptor[N]) bool {
 		// layer monotone along structural dependencies, and what makes
 		// "visible through a field" imply "already counted by the version
 		// counter" (DESIGN.md, "Versioned snapshots").
-		d.pool.OnCommit(d.fld, d.old, d.new)
+		d.pool.OnCommit(d.old, d.new)
 	}
 	sched.Point(sched.PointSCXUpdate)
 	d.fld.CompareAndSwap(d.old, d.new)

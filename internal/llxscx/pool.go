@@ -24,8 +24,8 @@ type Pool[N any] struct {
 
 	// OnCommit, when non-nil, is invoked by help() for every SCXP descriptor
 	// after all records are frozen and finalized, immediately BEFORE the
-	// update CAS, with the descriptor's mutable field, expected old value and
-	// new value. EVERY helper that reaches the update CAS calls it (not only
+	// update CAS, with the descriptor's expected old value and new value for
+	// the mutable field. EVERY helper that reaches the update CAS calls it (not only
 	// the one whose CAS lands), so the callback must be idempotent; in
 	// exchange it is guaranteed to have run to completion at least once
 	// before new can be read out of any mutable field. The trees use this to
@@ -33,7 +33,7 @@ type Pool[N any] struct {
 	// previous-version link, ordering the commit against snapshot capture
 	// (DESIGN.md, "Versioned snapshots"). Set once at construction, before
 	// the pool's first SCXP.
-	OnCommit func(fld *atomic.Pointer[N], old, new *N)
+	OnCommit func(old, new *N)
 
 	// OnInstalled, when non-nil alongside OnCommit, is invoked immediately
 	// AFTER the update CAS by every helper that invoked OnCommit, pairing

@@ -81,6 +81,11 @@ const (
 	// (vcell.(*Cell).DrainPublishers). Like PointSnapDrain it is a WaitZero
 	// site, not a Point.
 	PointVCellDrain
+	// PointSnapWalk fires in the frozen-view walk (lbst.Snap's scans, and so
+	// every tree RangeScan/Ascend) before each in-range leaf is handed to the
+	// caller, so an enumeration can interleave updates between the steps of
+	// an atomic scan.
+	PointSnapWalk
 
 	numPoints
 )
@@ -119,6 +124,8 @@ func (p PointID) String() string {
 		return "snap-drain"
 	case PointVCellDrain:
 		return "vcell-drain"
+	case PointSnapWalk:
+		return "snap-walk"
 	default:
 		return "unknown"
 	}

@@ -6,18 +6,18 @@ import (
 	"repro/internal/dict"
 )
 
-// ScanMode selects how OpScan operations read the dictionary: directly
-// against the live structure (the validate-and-retry RangeScan path), or
-// through a freshly captured snapshot view per scan (the O(1) versioned
-// snapshot path, which walks a frozen version with no validation and no
-// retries). The two modes answer the same queries; the snapshot-scan grid
-// cells exist to measure what the retry-free walk buys under concurrent
-// updates — and what the per-scan capture costs when it buys nothing.
+// ScanMode selects how OpScan operations read the dictionary: through the
+// structure's own RangeScan, or through a freshly captured snapshot view per
+// scan (the O(1) versioned snapshot path, which walks a frozen version with
+// no validation and no retries). The two modes answer the same queries. The
+// LLX/SCX trees' own RangeScan already walks a stack-captured snapshot, so
+// on them the modes differ only by the Snapshot() handle; on the baselines
+// the snapshot mode measures the AdaptSnapshot fallback.
 type ScanMode int
 
 const (
-	// ScanLive scans the live structure (the default, and the only mode the
-	// paper's evaluation has).
+	// ScanLive calls the structure's own RangeScan (the default, and the
+	// only mode the paper's evaluation has).
 	ScanLive ScanMode = iota
 	// ScanSnapshot captures a snapshot per scan operation, scans the frozen
 	// view and releases it. Structures without native snapshots run through

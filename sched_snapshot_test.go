@@ -26,6 +26,7 @@ package repro
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/dict"
@@ -63,10 +64,10 @@ func TestSnapshotCutEnumeration(t *testing.T) {
 	}
 	// The sequential states of the writer's history over (10, 15, 20, 30).
 	states := [4]snapObs{
-		{val: [4]int64{-10, 0, -20, -30}, ok: [4]bool{true, false, true, true}},  // S0
-		{val: [4]int64{-10, 5, -20, -30}, ok: [4]bool{true, true, true, true}},   // S1: +15
-		{val: [4]int64{0, 5, -20, -30}, ok: [4]bool{false, true, true, true}},    // S2: -10
-		{val: [4]int64{0, 5, 99, -30}, ok: [4]bool{false, true, true, true}},     // S3: 20→99
+		{val: [4]int64{-10, 0, -20, -30}, ok: [4]bool{true, false, true, true}}, // S0
+		{val: [4]int64{-10, 5, -20, -30}, ok: [4]bool{true, true, true, true}},  // S1: +15
+		{val: [4]int64{0, 5, -20, -30}, ok: [4]bool{false, true, true, true}},   // S2: -10
+		{val: [4]int64{0, 5, 99, -30}, ok: [4]bool{false, true, true, true}},    // S3: 20→99
 	}
 	cutIndex := func(o snapObs) int {
 		for i, s := range states {
@@ -273,4 +274,95 @@ func TestSnapshotFastPathPublishEnumeration(t *testing.T) {
 		t.Fatalf("enumeration hit the %d-schedule cap: not exhaustive", cap)
 	}
 	t.Logf("%d schedules, fast-path publish and capture never tear", schedules)
+}
+
+// scanWindowCuts are the key sets of TestRangeScanWindowEnumeration's writer
+// history over the scanned range [10, 30]: S0, then +15, then -30.
+var scanWindowCuts = [][]int64{{10, 20, 30}, {10, 15, 20, 30}, {10, 15, 20}}
+
+// exploreScanWindow enumerates one scan of [10, 30] over {10, 20, 30}
+// against a writer that inserts 15 and then deletes 30, at SCX, version-stamp,
+// capture and scan-step granularity, and returns the schedule count and the
+// schedules whose scan was not a cut of the writer's history. The insert lies
+// below the scan's middle key and the delete above it, so a scan assembled
+// from steps at different instants can miss both — a set no cut contains.
+func exploreScanWindow(t *testing.T, cap int, scan func(tree *ebst.Tree[int64, int64], fn func(k, v int64) bool)) (int, []sched.Violation) {
+	t.Helper()
+	schedules, violations := sched.Explore(sched.Options{
+		Points: pointSet(
+			sched.PointSCXUpdate, sched.PointSCXCommit,
+			sched.PointVerStamp, sched.PointSnapPublish, sched.PointSnapWalk,
+		),
+		MaxSchedules: cap,
+	}, func(c *sched.Controller) error {
+		tree := ebst.NewOrdered[int64, int64]()
+		for _, k := range scanWindowCuts[0] {
+			tree.Insert(k, k)
+		}
+		var got []int64
+		var badVal error
+		c.Go("scan", func() {
+			scan(tree, func(k, v int64) bool {
+				if v != k && badVal == nil {
+					badVal = fmt.Errorf("scan reported key %d with value %d", k, v)
+				}
+				got = append(got, k)
+				return true
+			})
+		})
+		c.Go("writer", func() {
+			tree.Insert(15, 15)
+			tree.Delete(30)
+		})
+		if err := c.Run(); err != nil {
+			return err
+		}
+		if badVal != nil {
+			return badVal
+		}
+		for _, cut := range scanWindowCuts {
+			if slices.Equal(got, cut) {
+				return nil
+			}
+		}
+		return fmt.Errorf("scan reported %v, which is no cut of the writer's history %v", got, scanWindowCuts)
+	})
+	return schedules, violations
+}
+
+// TestRangeScanWindowEnumeration enumerates the window tree scans opened by
+// capturing a snapshot: the capture (snapshot publish, version read, drain)
+// and every step of the frozen walk, interleaved with the SCXs and version
+// stamps of an insert and a delete of the scanned keys' neighbours. In every
+// schedule the scan must equal the key set of one cut of the writer's
+// sequential history. The same enumeration over the old per-key Successor
+// loop (steppedScan), yielding between its steps, must find a schedule that
+// is no cut — the enumeration reaches the window where per-step scans tear.
+func TestRangeScanWindowEnumeration(t *testing.T) {
+	if !epoch.Enabled {
+		t.Skip("scans fall back to the per-step Successor loop without epoch reclamation (noepoch build)")
+	}
+	const cap = 50000
+	schedules, violations := exploreScanWindow(t, cap, func(tree *ebst.Tree[int64, int64], fn func(k, v int64) bool) {
+		tree.RangeScan(10, 30, fn)
+	})
+	if len(violations) > 0 {
+		t.Fatalf("%d of %d schedules tore the atomic scan; first:\nschedule %v\n%v",
+			len(violations), schedules, violations[0].Schedule, violations[0].Err)
+	}
+	if schedules >= cap {
+		t.Fatalf("enumeration hit the %d-schedule cap: not exhaustive", cap)
+	}
+	t.Logf("%d schedules, every RangeScan a single cut", schedules)
+
+	// The planted scan helps the writer's SCXs from inside its LLXs, which
+	// multiplies its schedules; a bounded prefix of the search suffices to
+	// show a tear.
+	stepped, torn := exploreScanWindow(t, 1000, func(tree *ebst.Tree[int64, int64], fn func(k, v int64) bool) {
+		steppedScan{succ: tree, between: func() { sched.Point(sched.PointSnapWalk) }}.RangeScan(10, 30, fn)
+	})
+	if len(torn) == 0 {
+		t.Fatalf("enumeration found no torn schedule among %d for the per-step Successor scan", stepped)
+	}
+	t.Logf("per-step Successor scan: %d of %d schedules torn, e.g. %v", len(torn), stepped, torn[0].Err)
 }
