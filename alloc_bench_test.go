@@ -356,7 +356,7 @@ func TestSnapshotAllocBudget(t *testing.T) {
 }
 
 // scanAllocStructures are the LLX/SCX trees whose RangeScan and Ascend run
-// through the shared atomic scan (lbst.Scan).
+// through the engine's atomic scan (lbst.Tree.RangeScan and Ascend).
 var scanAllocStructures = []string{"Chromatic", "Chromatic6", "RAVL", "EBST"}
 
 // TestRangeScanAllocBudget fails if a steady-state RangeScan or Ascend

@@ -2,11 +2,12 @@
 // Ruppert, "A General Technique for Non-blocking Trees" (PPoPP 2014).
 //
 // The implementation lives under internal/: the LLX/SCX/VLX primitives
-// (internal/llxscx), the tree update template (internal/core), the shared
-// leaf-oriented BST engine built on the template (internal/lbst) with its
-// two instantiations - the unbalanced BST (internal/ebst) and the relaxed
-// AVL tree (internal/ravl) - the non-blocking chromatic tree
-// (internal/chromatic), the epoch-based reclamation layer they share
+// (internal/llxscx), the leaf-oriented BST engine that discharges the tree
+// update template once (internal/lbst, with the retry backoff in
+// internal/core) and its three instantiations - the unbalanced BST
+// (internal/ebst), the relaxed AVL tree (internal/ravl) and the paper's
+// non-blocking chromatic tree (internal/chromatic), each a balancing
+// policy - the epoch-based reclamation layer they share
 // (internal/epoch), and every data structure the paper's evaluation
 // compares against, plus the workload generator and throughput harness that
 // regenerate the paper's figures. The dictionary stack is generic end to
@@ -24,9 +25,10 @@
 // The update hot path is allocation-lean, matching the compact SCX records
 // of the paper's Java implementation: an SCX-record stores its evidence in
 // inline arrays bounded by llxscx.MaxV (6, the chromatic W3/W4 steps), so
-// each SCX allocates exactly one descriptor; updates stage their V/R
-// sequences in stack arrays via the slice-free SCXFixed/VLXFixed entry
-// points; inserts reuse the old leaf as a child of the fresh internal node
+// each SCX allocates exactly one descriptor (recycled through a pool);
+// updates stage their V/R sequences in stack arrays for the slice-free
+// SCXP entry point; inserts reuse the old leaf as a child of the fresh
+// internal node
 // where the template's postconditions allow (values stored into child
 // fields must stay freshly allocated, so deletes still promote a copy); and
 // NewOrdered trees install a

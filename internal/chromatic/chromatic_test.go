@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/lbst"
 )
 
 func TestEmptyTree(t *testing.T) {
@@ -618,29 +620,64 @@ func TestConcurrentReadersDuringUpdates(t *testing.T) {
 	}
 }
 
-// TestNewOrderedInstallsSpecializedSearch pins the constructor-time search
-// selection: string-keyed trees get the concrete string specialization,
-// other cmp.Ordered keys the generic one, and the specialized search must
-// agree with the comparator-based loop.
-func TestNewOrderedInstallsSpecializedSearch(t *testing.T) {
-	if _, specialized := orderedSearchFor[string, int64](); !specialized {
-		t.Fatal("orderedSearchFor[string, V] did not select searchString")
+// churnOps is the ascending-then-descending churn of the conformance fuzz
+// seed corpus (FuzzOrderedMapAgainstModel): insert 0..59, delete the even
+// keys, then interleave successor and predecessor probes over 60..1. Ops
+// are (opcode, key) pairs with the fuzz harness's opcodes: 0 insert,
+// 1 delete, 3 successor, 4 predecessor.
+func churnOps() [][2]int64 {
+	var ops [][2]int64
+	for i := int64(0); i < 60; i++ {
+		ops = append(ops, [2]int64{0, i})
 	}
-	if _, specialized := orderedSearchFor[int64, int64](); specialized {
-		t.Fatal("orderedSearchFor[int64, V] selected the string specialization")
+	for i := int64(0); i < 60; i += 2 {
+		ops = append(ops, [2]int64{1, i})
 	}
-	st := NewOrdered[string, int64]()
-	lt := NewLess[string, int64](func(a, b string) bool { return a < b })
-	keys := []string{"b", "a", "c/long", "c", "aa", ""}
-	for i, k := range keys {
-		st.Insert(k, int64(i))
-		lt.Insert(k, int64(i))
+	for i := int64(60); i > 0; i-- {
+		ops = append(ops, [2]int64{3, i}, [2]int64{4, i})
 	}
-	for _, k := range append(keys, "zz", "ab") {
-		sv, sok := st.Get(k)
-		lv, lok := lt.Get(k)
-		if sv != lv || sok != lok {
-			t.Fatalf("Get(%q): specialized (%d,%v), comparator (%d,%v)", k, sv, sok, lv, lok)
+	return ops
+}
+
+// wrongPromoted is the chromatic policy with the deletion's promoted-sibling
+// weight taken from the sibling alone, as EBST and RAVL do, instead of
+// absorbing the removed parent's weight.
+type wrongPromoted struct{ *policy[int64, int64] }
+
+func (wrongPromoted) PromotedDeco(_, _, s *lbst.Node[int64, int64]) int32 { return s.Deco }
+
+// TestWrongPromotedDecoCaught proves CheckRedBlack has teeth against the
+// PromotedDeco hook: on the churn seed, checked after every op, the correct
+// policy stays red-black throughout while the mutant breaks the equal
+// weighted path lengths.
+func TestWrongPromotedDecoCaught(t *testing.T) {
+	run := func(tr *Tree[int64, int64]) error {
+		for i, op := range churnOps() {
+			switch op[0] {
+			case 0:
+				tr.Insert(op[1], op[1])
+			case 1:
+				tr.Delete(op[1])
+			case 3:
+				tr.Successor(op[1])
+			case 4:
+				tr.Predecessor(op[1])
+			}
+			if err := tr.CheckRedBlack(); err != nil {
+				return fmt.Errorf("op %d %v: %w", i, op, err)
+			}
 		}
+		return nil
+	}
+	if err := run(New()); err != nil {
+		t.Fatalf("correct policy: %v", err)
+	}
+	mutant := newTree(nil, func(pol lbst.Policy[int64, int64]) *lbst.Tree[int64, int64] {
+		return lbst.NewOrdered[int64, int64](wrongPromoted{pol.(*policy[int64, int64])})
+	})
+	if err := run(mutant); err == nil {
+		t.Fatal("policy with PromotedDeco = s.Deco passed CheckRedBlack on the churn seed")
+	} else {
+		t.Logf("mutant caught: %v", err)
 	}
 }

@@ -11,21 +11,22 @@ import (
 // uses plain reads and is not linearizable.
 func (t *Tree[K, V]) DebugPath(key K) string {
 	var b strings.Builder
-	n := t.entry
+	n := t.Entry()
+	less := t.Less()
 	depth := 0
 	for n != nil {
 		k := "inf"
-		if !n.inf {
-			k = fmt.Sprintf("%v", n.k)
+		if !n.Inf {
+			k = fmt.Sprintf("%v", n.K)
 		}
-		fmt.Fprintf(&b, "depth=%d key=%s w=%d leaf=%v finalized=%v\n", depth, k, n.w, n.leaf, n.rec.Marked())
-		if n.leaf {
+		fmt.Fprintf(&b, "depth=%d key=%s w=%d leaf=%v finalized=%v\n", depth, k, n.Deco, n.Leaf, n.Marked())
+		if n.Leaf {
 			break
 		}
-		if t.keyLess(key, n) {
-			n = n.left.Load()
+		if n.Inf || less(key, n.K) {
+			n = n.Left()
 		} else {
-			n = n.right.Load()
+			n = n.Right()
 		}
 		depth++
 	}

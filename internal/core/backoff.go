@@ -1,3 +1,14 @@
+// Package core holds the retry backoff of the tree update template of
+// Brown, Ellen and Ruppert, "A General Technique for Non-blocking Trees"
+// (PPoPP 2014), Section 4.
+//
+// The template itself - LLXs on a contiguous portion of the tree, then one
+// SCX that swings a child pointer to a freshly built subtree and finalizes
+// the removed nodes, subject to postconditions PC1-PC9 - is written out once
+// in the leaf-oriented BST engine (internal/lbst, whose package comment
+// lists the postconditions): its updates and every policy's rebalancing
+// steps stage their evidence in stack arrays and call llxscx.SCXP directly.
+// What they share from here is how a failed attempt waits before retrying.
 package core
 
 import (

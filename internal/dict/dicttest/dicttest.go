@@ -268,8 +268,9 @@ func SequentialConformance(t *testing.T, tgt Target, ops int, keyRange int64, se
 
 // FuzzOpsKV interprets data as an operation stream - three bytes per
 // operation: opcode, key selector, value selector - and checks every result
-// against the model. It is intended to be driven by go test's fuzzing
-// engine.
+// against the model and the target's invariant checker after every
+// operation, so a violation is reported at the operation that caused it. It
+// is intended to be driven by go test's fuzzing engine.
 func FuzzOpsKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K, V], key func(uint64) K, val func(uint64) V, data []byte) {
 	t.Helper()
 	d := tgt.New()
@@ -279,6 +280,11 @@ func FuzzOpsKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K, V], key
 		k := key(uint64(data[i+1]))
 		v := val(uint64(data[i+2]))
 		applyChecked(t, tgt.Name, d, md, i/3, op, k, v)
+		if tgt.Check != nil {
+			if err := tgt.Check(d); err != nil {
+				t.Fatalf("%s: op %d (opcode %d, key %v): invariant check: %v", tgt.Name, i/3, op, k, err)
+			}
+		}
 	}
 	finalCheck(t, tgt, d, md)
 }

@@ -29,20 +29,23 @@ package ebst
 
 import (
 	"cmp"
+	"fmt"
 
 	"repro/internal/epoch"
 	"repro/internal/lbst"
 )
 
-// policy is the no-op balancing policy: an unbalanced tree never considers
-// itself in violation.
+// policy is the no-op balancing policy: no decoration, and an unbalanced
+// tree never considers itself in violation.
 type policy[K, V any] struct{}
 
 func (policy[K, V]) Name() string                                   { return "EBST" }
-func (policy[K, V]) InternalDeco() int64                            { return 0 }
+func (policy[K, V]) LeafDeco() int32                                { return 0 }
+func (policy[K, V]) InternalDeco(_, _ *lbst.Node[K, V]) int32       { return 0 }
+func (policy[K, V]) PromotedDeco(_, _, s *lbst.Node[K, V]) int32    { return s.Deco }
 func (policy[K, V]) CreatesViolation(_, _, _ *lbst.Node[K, V]) bool { return false }
-func (policy[K, V]) Violation(*lbst.Node[K, V]) bool                { return false }
-func (policy[K, V]) Rebalance(_ *epoch.Guard, _, _ *lbst.Node[K, V]) bool {
+func (policy[K, V]) Violation(_, _ *lbst.Node[K, V]) bool           { return false }
+func (policy[K, V]) Rebalance(*epoch.Guard, *lbst.Node[K, V], *lbst.Node[K, V], *lbst.Node[K, V], *lbst.Node[K, V]) bool {
 	return false
 }
 
@@ -50,7 +53,7 @@ func (policy[K, V]) Rebalance(_ *epoch.Guard, _, _ *lbst.Node[K, V]) bool {
 // concurrent use. Use New, NewOrdered or NewLess to create one. All
 // dictionary and ordered-query operations (Get, Insert, Delete, Successor,
 // Predecessor, RangeScan, Ascend, Min, Max) and the quiescent helpers
-// (Size, Height, Keys, CheckStructure) are provided by the embedded engine.
+// (Size, Height, Keys) are provided by the embedded engine.
 type Tree[K, V any] struct {
 	*lbst.Tree[K, V]
 }
@@ -71,4 +74,27 @@ func NewOrdered[K cmp.Ordered, V any]() *Tree[K, V] {
 // the benchmark registry and the paper's figures use.
 func New() *Tree[int64, int64] {
 	return NewOrdered[int64, int64]()
+}
+
+// CheckStructure verifies the engine's structural invariants
+// (lbst.Tree.CheckStructure) and that every node carries decoration 0, the
+// only decoration the EBST policy ever assigns. Quiescence only.
+func (t *Tree[K, V]) CheckStructure() error {
+	if err := t.Tree.CheckStructure(); err != nil {
+		return err
+	}
+	var walk func(n *lbst.Node[K, V]) error
+	walk = func(n *lbst.Node[K, V]) error {
+		if n == nil {
+			return nil
+		}
+		if n.Deco != 0 {
+			return fmt.Errorf("node %v has decoration %d, want 0", n.K, n.Deco)
+		}
+		if err := walk(n.Left()); err != nil {
+			return err
+		}
+		return walk(n.Right())
+	}
+	return walk(t.Entry())
 }

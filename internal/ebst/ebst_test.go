@@ -234,10 +234,12 @@ func TestSpineDiagnosticFiresOnSequentialFill(t *testing.T) {
 type rawPolicy[K, V any] struct{}
 
 func (rawPolicy[K, V]) Name() string                                   { return "EBST-raw" }
-func (rawPolicy[K, V]) InternalDeco() int64                            { return 0 }
+func (rawPolicy[K, V]) LeafDeco() int32                                { return 0 }
+func (rawPolicy[K, V]) InternalDeco(_, _ *lbst.Node[K, V]) int32       { return 0 }
+func (rawPolicy[K, V]) PromotedDeco(_, _, s *lbst.Node[K, V]) int32    { return s.Deco }
 func (rawPolicy[K, V]) CreatesViolation(_, _, _ *lbst.Node[K, V]) bool { return false }
-func (rawPolicy[K, V]) Violation(*lbst.Node[K, V]) bool                { return false }
-func (rawPolicy[K, V]) Rebalance(_ *epoch.Guard, _, _ *lbst.Node[K, V]) bool {
+func (rawPolicy[K, V]) Violation(_, _ *lbst.Node[K, V]) bool           { return false }
+func (rawPolicy[K, V]) Rebalance(*epoch.Guard, *lbst.Node[K, V], *lbst.Node[K, V], *lbst.Node[K, V], *lbst.Node[K, V]) bool {
 	return false
 }
 

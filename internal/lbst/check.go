@@ -10,16 +10,15 @@ import (
 //
 //   - the sentinel structure at the top of the tree is intact;
 //   - every internal node has exactly two children and every leaf none;
-//   - leaves carry decoration 0 (the decoration is policy state for
-//     internal nodes only);
 //   - keys satisfy the leaf-oriented BST order under the tree's comparator
 //     (left subtree strictly smaller than the routing key, right subtree
 //     greater or equal);
 //   - no reachable node has been finalized.
 //
 // It must only be called at quiescence. It returns nil if all invariants
-// hold. Policy-specific balance invariants (for example the relaxed AVL's
-// height bookkeeping) are checked by the concrete tree packages.
+// hold. Decorations are policy state, so their invariants (the EBST's zero
+// decoration, the relaxed AVL's heights, the chromatic weights) are checked
+// by the concrete tree packages.
 func (t *Tree[K, V]) CheckStructure() error {
 	top := t.entry.left.Load()
 	if top == nil {
@@ -58,9 +57,6 @@ func (t *Tree[K, V]) CheckStructure() error {
 		if n.Leaf {
 			if n.left.Load() != nil || n.right.Load() != nil {
 				return fmt.Errorf("leaf %v has children", n.K)
-			}
-			if n.Deco != 0 {
-				return fmt.Errorf("leaf %v has decoration %d, want 0", n.K, n.Deco)
 			}
 			if !n.Inf {
 				if b.hasLo && t.less(n.K, b.lo) {

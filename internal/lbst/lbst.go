@@ -1,16 +1,16 @@
-// Package lbst is a reusable engine for non-blocking, leaf-oriented binary
-// search trees built on the tree update template of internal/core.
+// Package lbst is the one engine behind every non-blocking, leaf-oriented
+// binary search tree in the repository: the unbalanced BST (internal/ebst),
+// the relaxed AVL tree (internal/ravl) and the paper's chromatic tree
+// (internal/chromatic) are all instantiations of it.
 //
-// The engine owns everything that was previously duplicated between the
-// unbalanced BST (internal/ebst) and the relaxed AVL tree (internal/ravl):
-// the sentinel entry structure of Figure 10 of Brown, Ellen and Ruppert
-// (PPoPP 2014), the leaf-oriented search loop, the construction of the
-// insertion and deletion template updates (so postconditions PC1-PC9 are
-// discharged once, here), the SCX-free in-place value overwrite for inserts
-// on present keys (see Insert and the value-cell notes on Node and Copy),
-// the post-update cleanup loop that drives rebalancing, and the ordered
-// Successor/Predecessor queries with VLX validation (shared, in generic
-// form, with internal/chromatic via query.go).
+// The engine owns the sentinel entry structure of Figure 10 of Brown, Ellen
+// and Ruppert (PPoPP 2014), the leaf-oriented search loop, the insertion and
+// deletion template updates (so postconditions PC1-PC9 are discharged once,
+// here), the SCX-free in-place value overwrite for inserts on present keys
+// (see Insert and the value-cell notes on Node and CopyNode), the
+// post-update cleanup loop that drives rebalancing, the ordered
+// Successor/Predecessor queries with VLX validation (query.go) and the O(1)
+// versioned snapshots behind every atomic scan (snapshot.go).
 //
 // The engine is generic over the key and value types. Only the search loop
 // compares keys - exactly the paper's point about the template being
@@ -19,12 +19,44 @@
 // dict.Less). Keys a and b are equal exactly when !less(a, b) && !less(b, a).
 //
 // A concrete tree supplies a Policy: the meaning of the per-node balancing
-// decoration, how to detect a violation of its balance condition, and a set
-// of localized rebalancing steps (each itself a template update). The policy
-// for the unbalanced BST is trivial - no decoration, no violations, no
-// steps - which is exactly the paper's point about how little code a new
-// template-based data structure needs. The relaxed AVL policy decorates
-// nodes with heights and repairs violations with height fixes and rotations.
+// decoration (including the decoration of leaves and of the nodes the
+// insertion and deletion updates create), how to detect a violation of its
+// balance condition, and a set of localized rebalancing steps (each itself a
+// template update). The policy for the unbalanced BST is trivial - no
+// decoration, no violations, no steps - which is exactly the paper's point
+// about how little code a new template-based data structure needs. The
+// relaxed AVL policy decorates internal nodes with heights; the chromatic
+// policy decorates every node, leaves included, with its weight and repairs
+// violations with the 22 steps of Boyar, Fagerberg and Larsen.
+//
+// # The tree update template
+//
+// Every update, the engine's own and every policy's rebalancing step,
+// performs LLXs on a contiguous portion of the tree that includes the parent
+// whose child pointer changes and every node to be removed, then one SCX
+// that swings that child pointer to a freshly built subtree and finalizes
+// the removed nodes (Section 4 of the paper). Provided each update satisfies
+// the postconditions below, every tree built this way is linearizable and
+// non-blocking:
+//
+//	PC1  V is a subsequence of the sequence of nodes on which LLX was
+//	     performed.
+//	PC2  R is a subsequence of V.
+//	PC3  The node containing the field Fld is in V.
+//	PC4  The new nodes form a non-empty down-tree rooted at New.
+//	PC5  If Old is nil then R and the fringe of the new subtree are empty.
+//	PC6  If R is empty and Old is non-nil, the fringe of the new subtree is
+//	     exactly {Old}.
+//	PC7  Every node in the new subtree except its fringe is newly allocated.
+//	PC8  The V sequences of all updates are ordered consistently with a fixed
+//	     tree traversal (for example breadth-first order).
+//	PC9  If R is non-empty, the removed nodes form a down-tree rooted at Old
+//	     and the fringe of the new subtree equals the fringe of the removed
+//	     subtree.
+//
+// The updates stage V and R in stack arrays and call llxscx.SCXP directly
+// (the template's loop unrolled, as in the paper's pseudocode); core
+// supplies only the retry backoff.
 //
 // # Memory reclamation
 //
@@ -34,10 +66,10 @@
 // SCX is retired under the operation's guard and re-enters the pool only
 // after a grace period, so steady-state churn allocates (almost) nothing.
 // The safety argument - why a pinned operation can never observe a recycled
-// node, and how the value-cell aliasing of Copy survives manual reclamation
-// via the cell-owner reference count - is re-derived in DESIGN.md ("Epoch
-// reclamation and the ABA re-derivation"). Build with -tags noepoch to fall
-// back to garbage-collected reclamation.
+// node, and how the value-cell aliasing of CopyNode survives manual
+// reclamation via the cell-owner reference count - is re-derived in
+// DESIGN.md ("Epoch reclamation and the ABA re-derivation"). Build with
+// -tags noepoch to fall back to garbage-collected reclamation.
 package lbst
 
 import (
@@ -66,6 +98,10 @@ import (
 // copy nodes in their rebalancing steps - aliases the original's cell, which
 // is what keeps a concurrent overwrite from being lost to a copy that
 // captured the value just before the publish.
+//
+// The node is 128 bytes at Node[int64, int64] (pinned by a test): the
+// decoration is an int32 packed with the two flags, which keeps the node in
+// the 128-byte size class.
 type Node[K, V any] struct {
 	rec llxscx.Record[Node[K, V]]
 
@@ -84,9 +120,10 @@ type Node[K, V any] struct {
 	// aliasing copy has been freed.
 	val  *vcell.Cell[V]
 	cell vcell.Cell[V]
-	// Deco is the balancing decoration, owned by the policy (for example
-	// the relaxed height in internal/ravl). Leaves always carry 0.
-	Deco int64
+	// Deco is the balancing decoration, owned by the policy (the relaxed
+	// height in internal/ravl, the weight in internal/chromatic). Fresh
+	// leaves and sentinels carry the policy's LeafDeco.
+	Deco int32
 	// Leaf marks dictionary leaves; their child pointers are always nil.
 	Leaf bool
 	// Inf marks sentinel nodes, whose key reads as +infinity.
@@ -139,13 +176,6 @@ type Node[K, V any] struct {
 // a commit tick. It compares greater than every capture version.
 const verPending = ^uint64(0)
 
-// SnapVer implements VersionedView: the node's commit tick.
-func (n *Node[K, V]) SnapVer() uint64 { return n.snapVer.Load() }
-
-// SnapPrev implements VersionedView: the previous version of this node's
-// position, or nil.
-func (n *Node[K, V]) SnapPrev() *Node[K, V] { return n.prev.Load() }
-
 // LLXRecord implements llxscx.DataRecord.
 func (n *Node[K, V]) LLXRecord() *llxscx.Record[Node[K, V]] { return &n.rec }
 
@@ -160,26 +190,6 @@ func (n *Node[K, V]) Mutable(i int) *atomic.Pointer[Node[K, V]] {
 	return &n.right
 }
 
-// Key implements View for the shared query helpers.
-func (n *Node[K, V]) Key() K { return n.K }
-
-// Value implements View. It reads the leaf's value cell atomically; internal
-// and sentinel nodes (nil cell) read as the zero value.
-func (n *Node[K, V]) Value() V { return n.val.Load() }
-
-// IsLeaf implements View.
-func (n *Node[K, V]) IsLeaf() bool { return n.Leaf }
-
-// IsSentinel implements View.
-func (n *Node[K, V]) IsSentinel() bool { return n.Inf }
-
-// Gen returns the node's reclamation generation counter, bumped every time
-// the node's memory is recycled through a pool. It only changes under -tags
-// reclaimcheck, where the poisoning assertions in the read paths use it to
-// prove that no node is ever recycled while a pinned operation can still
-// reach it.
-func (n *Node[K, V]) Gen() uint64 { return n.gen }
-
 // Left returns the left child with a plain atomic read. It is intended for
 // policies and quiescent inspection, not for lock-free traversals that need
 // snapshot consistency (use LLX for those).
@@ -190,53 +200,6 @@ func (n *Node[K, V]) Right() *Node[K, V] { return n.right.Load() }
 
 // Marked reports whether the node has been finalized (removed) by an SCX.
 func (n *Node[K, V]) Marked() bool { return n.rec.Marked() }
-
-// NewLeaf returns a fresh leaf holding key and value. Leaves always carry
-// decoration 0. The leaf's value lives in its embedded cell (representation
-// selected by vcell.Unboxed, so word-sized values are stored unboxed);
-// copies of the leaf alias this cell via Copy. The leaf is heap-allocated;
-// inside operations the trees use the pooled Tree.LeafNode instead.
-func NewLeaf[K, V any](k K, v V) *Node[K, V] {
-	n := &Node[K, V]{K: k, Leaf: true}
-	n.cell.Init(vcell.Unboxed[V](), v)
-	n.val = &n.cell
-	n.owner = n
-	n.crefs.Store(1)
-	return n
-}
-
-// NewInternal returns a fresh internal node with the given routing key,
-// decoration, sentinel flag and children.
-func NewInternal[K, V any](k K, deco int64, inf bool, left, right *Node[K, V]) *Node[K, V] {
-	n := &Node[K, V]{K: k, Deco: deco, Inf: inf}
-	n.left.Store(left)
-	n.right.Store(right)
-	return n
-}
-
-// Copy returns a fresh copy of the node captured by lk, carrying the given
-// decoration and the children recorded in lk's snapshot. It is the standard
-// building block of rebalancing steps: a removed node reappears in the new
-// subtree only as a copy. The copy ALIASES the source's value cell rather
-// than capturing the value: an in-place overwrite racing with the copying
-// SCX stays visible through the copy, whichever of the two commits first
-// (see the in-place overwrite protocol on Insert). The copy takes a
-// reference on the cell's owner, so the cell outlives every aliasing node
-// under pooled reclamation.
-func Copy[K, V any](lk llxscx.Linked[Node[K, V]], deco int64) *Node[K, V] {
-	src := lk.Node()
-	n := &Node[K, V]{K: src.K, val: src.val, Deco: deco, Leaf: src.Leaf, Inf: src.Inf}
-	n.left.Store(lk.Child(0))
-	n.right.Store(lk.Child(1))
-	if own := src.owner; own != nil {
-		// Safe to increment: src holds a reference on own (its own, if src
-		// is the owner) and src is protected by the caller's pinned region,
-		// so the count cannot reach zero concurrently.
-		n.owner = own
-		own.crefs.Add(1)
-	}
-	return n
-}
 
 // FieldOf returns the mutable child field of the node captured by lk that
 // pointed to child in its snapshot, or nil if child was not one of its
@@ -268,35 +231,55 @@ func SiblingOf[K, V any](lk llxscx.Linked[Node[K, V]], child *Node[K, V]) *Node[
 // must be safe for concurrent use; Violation and Rebalance are invoked from
 // the engine's cleanup loop with plain-read path context and must express
 // any structural change as a template update (LLXs followed by one SCX) so
-// the combined data structure stays non-blocking and linearizable.
+// the combined data structure stays non-blocking and linearizable. The
+// decoration hooks read only immutable fields of their arguments.
 type Policy[K, V any] interface {
 	// Name identifies the resulting data structure in benchmark reports.
 	Name() string
 
-	// InternalDeco is the decoration given to the fresh internal node that
-	// an insertion places where the old leaf was (its two children are
-	// leaves with decoration 0).
-	InternalDeco() int64
+	// LeafDeco is the decoration of every fresh leaf and of the sentinels.
+	// An insertion reuses the leaf it replaces as the fringe of the new
+	// subtree only if that leaf carries LeafDeco; otherwise it installs a
+	// LeafDeco copy and finalizes the old leaf.
+	LeafDeco() int32
+
+	// InternalDeco is the decoration of the fresh internal node that an
+	// insertion places where leaf l (a child of p) was; its two children
+	// are leaves carrying LeafDeco.
+	InternalDeco(p, l *Node[K, V]) int32
+
+	// PromotedDeco is the decoration of the copy of sibling s that a
+	// deletion installs below gp in place of s's parent p.
+	PromotedDeco(gp, p, s *Node[K, V]) int32
 
 	// CreatesViolation reports whether replacing oldChild by newChild below
 	// parent may have violated the balance condition, in which case the
-	// engine runs its cleanup loop. All three nodes are read-only context
-	// (immutable fields only).
+	// engine runs its cleanup loop.
 	CreatesViolation(parent, oldChild, newChild *Node[K, V]) bool
 
 	// Violation reports, using plain reads, whether a rebalancing step is
-	// needed at the internal non-sentinel node n.
-	Violation(n *Node[K, V]) bool
+	// needed at n, whose parent on the search path is parent. The cleanup
+	// loop asks it on every edge of the path, sentinels and leaves included.
+	Violation(parent, n *Node[K, V]) bool
 
-	// Rebalance attempts one localized rebalancing step at n, whose parent
-	// on the search path is u. g is the invoking operation's pinned epoch
-	// guard; the step's SCX must go through the tree's pooled reclamation
-	// (Tree.RebalanceSCX or an equivalently wired core.Template), with
-	// fresh nodes built by Tree.InternalNode/Tree.CopyNode and released
-	// with Tree.ReleaseFresh when the SCX fails. It returns true if a step
-	// was applied; false means the tree changed under it (or the violation
-	// vanished) and the cleanup loop re-searches from the entry point.
-	Rebalance(g *epoch.Guard, u, n *Node[K, V]) bool
+	// Rebalance attempts one localized rebalancing step at the violation at
+	// n. p, gp and ggp are n's parent, grandparent and great-grandparent on
+	// the search path (gp and ggp are nil when the path is that short). g is
+	// the invoking operation's pinned epoch guard; the step's SCX must go
+	// through Tree.RebalanceSCX, with fresh nodes built by
+	// Tree.InternalNode/Tree.CopyNode and released with Tree.ReleaseFresh
+	// when the SCX fails. It returns true if a step was applied; false
+	// means the tree changed under it (or the violation vanished) and the
+	// cleanup loop re-searches from the entry point.
+	Rebalance(g *epoch.Guard, ggp, gp, p, n *Node[K, V]) bool
+}
+
+// Tolerant is implemented by policies that let violations accumulate before
+// rebalancing (the paper's Chromatic6): an update that creates a violation
+// triggers rebalancing only when its search path then holds more than
+// AllowedViolations violations, and the rebalancing then clears the path.
+type Tolerant interface {
+	AllowedViolations() int
 }
 
 // Tree is a non-blocking leaf-oriented BST over keys ordered by a comparator
@@ -306,6 +289,11 @@ type Tree[K, V any] struct {
 	entry *Node[K, V]
 	less  func(a, b K) bool
 	pol   Policy[K, V]
+
+	// leafDeco caches pol.LeafDeco() for the insertion path; allowed is the
+	// policy's violation tolerance (0 unless it implements Tolerant).
+	leafDeco int32
+	allowed  int
 
 	// searchFn locates the grandparent, parent and leaf on the search path
 	// for a key using plain reads. It is selected at construction: New
@@ -361,18 +349,23 @@ type Tree[K, V any] struct {
 }
 
 // New returns an empty tree whose keys are ordered by less and whose balance
-// is governed by pol. The entry structure mirrors the chromatic tree's
-// sentinels (Figure 10 of the paper) so every leaf always has a parent and,
-// when the tree is non-empty, a grandparent.
+// is governed by pol. The entry structure is the chromatic tree's sentinels
+// (Figure 10 of the paper), so every leaf always has a parent and, when the
+// tree is non-empty, a grandparent.
 func New[K, V any](less func(a, b K) bool, pol Policy[K, V]) *Tree[K, V] {
-	var sentinelKey K
+	leafDeco := pol.LeafDeco()
 	t := &Tree[K, V]{
-		entry:    NewInternal(sentinelKey, 0, true, &Node[K, V]{Leaf: true, Inf: true}, nil),
+		entry:    &Node[K, V]{Deco: leafDeco, Inf: true},
 		less:     less,
 		pol:      pol,
+		leafDeco: leafDeco,
 		searchFn: searchLess[K, V],
 		unboxed:  vcell.Unboxed[V](),
 		descPool: llxscx.NewPool[Node[K, V]](),
+	}
+	t.entry.left.Store(&Node[K, V]{Deco: leafDeco, Leaf: true, Inf: true})
+	if tp, ok := pol.(Tolerant); ok {
+		t.allowed = tp.AllowedViolations()
 	}
 	t.nodePool = &sync.Pool{New: func() any { return new(Node[K, V]) }}
 	t.freeNodeFn = func(g *epoch.Guard, obj any) bool {
@@ -439,24 +432,25 @@ func (t *Tree[K, V]) Entry() *Node[K, V] { return t.entry }
 // Less exposes the tree's key comparator.
 func (t *Tree[K, V]) Less() func(a, b K) bool { return t.less }
 
-// DescPool exposes the tree's SCX descriptor pool. Policies that express
-// their rebalancing steps through core.Template must install it (together
-// with the operation's guard) on the template, so every SCX on the tree's
-// records participates in the pooled reclamation protocol.
-func (t *Tree[K, V]) DescPool() *llxscx.Pool[Node[K, V]] { return t.descPool }
-
 // ---------------------------------------------------------------------------
 // Pooled node lifecycle.
 
-// LeafNode returns a leaf holding key and value, drawn from the tree's node
-// pool (a fresh allocation under -tags noepoch). The leaf owns its embedded
-// value cell.
-func (t *Tree[K, V]) LeafNode(k K, v V) *Node[K, V] {
+// newNode draws a zeroed node from the tree's node pool, or allocates one
+// under -tags noepoch (where nothing is ever recycled).
+func (t *Tree[K, V]) newNode() *Node[K, V] {
 	if !epoch.Enabled {
-		return NewLeaf(k, v)
+		return new(Node[K, V])
 	}
-	n := t.nodePool.Get().(*Node[K, V])
+	return t.nodePool.Get().(*Node[K, V])
+}
+
+// leafNode returns a leaf holding key and value with decoration deco, drawn
+// from the tree's node pool. The leaf owns its embedded value cell (stored
+// unboxed for word-sized values); copies alias it via CopyNode.
+func (t *Tree[K, V]) leafNode(k K, v V, deco int32) *Node[K, V] {
+	n := t.newNode()
 	n.K = k
+	n.Deco = deco
 	n.Leaf = true
 	n.cell.Init(t.unboxed, v)
 	n.val = &n.cell
@@ -466,13 +460,9 @@ func (t *Tree[K, V]) LeafNode(k K, v V) *Node[K, V] {
 	return n
 }
 
-// InternalNode returns an internal node drawn from the tree's node pool (a
-// fresh allocation under -tags noepoch).
-func (t *Tree[K, V]) InternalNode(k K, deco int64, inf bool, left, right *Node[K, V]) *Node[K, V] {
-	if !epoch.Enabled {
-		return NewInternal(k, deco, inf, left, right)
-	}
-	n := t.nodePool.Get().(*Node[K, V])
+// InternalNode returns an internal node drawn from the tree's node pool.
+func (t *Tree[K, V]) InternalNode(k K, deco int32, inf bool, left, right *Node[K, V]) *Node[K, V] {
+	n := t.newNode()
 	n.K = k
 	n.Deco = deco
 	n.Inf = inf
@@ -482,15 +472,18 @@ func (t *Tree[K, V]) InternalNode(k K, deco int64, inf bool, left, right *Node[K
 	return n
 }
 
-// CopyNode is Copy drawing the copy from the tree's node pool (a fresh
-// allocation under -tags noepoch). Like Copy it aliases the source's value
-// cell and takes a reference on the cell's owner.
-func (t *Tree[K, V]) CopyNode(lk llxscx.Linked[Node[K, V]], deco int64) *Node[K, V] {
-	if !epoch.Enabled {
-		return Copy(lk, deco)
-	}
+// CopyNode returns a fresh copy, drawn from the tree's node pool, of the
+// node captured by lk, carrying the given decoration and the children
+// recorded in lk's snapshot. It is the standard building block of
+// rebalancing steps: a removed node reappears in the new subtree only as a
+// copy. The copy ALIASES the source's value cell rather than capturing the
+// value: an in-place overwrite racing with the copying SCX stays visible
+// through the copy, whichever of the two commits first (see the in-place
+// overwrite protocol on Insert). The copy takes a reference on the cell's
+// owner, so the cell outlives every aliasing node under pooled reclamation.
+func (t *Tree[K, V]) CopyNode(lk llxscx.Linked[Node[K, V]], deco int32) *Node[K, V] {
 	src := lk.Node()
-	n := t.nodePool.Get().(*Node[K, V])
+	n := t.newNode()
 	n.K = src.K
 	n.val = src.val
 	n.Deco = deco
@@ -499,6 +492,9 @@ func (t *Tree[K, V]) CopyNode(lk llxscx.Linked[Node[K, V]], deco int64) *Node[K,
 	n.left.Store(lk.Child(0))
 	n.right.Store(lk.Child(1))
 	if own := src.owner; own != nil {
+		// Safe to increment: src holds a reference on own (its own, if src
+		// is the owner) and src is protected by the caller's pinned region,
+		// so the count cannot reach zero concurrently.
 		n.owner = own
 		own.crefs.Add(1)
 	}
@@ -524,9 +520,12 @@ func (t *Tree[K, V]) ReleaseFresh(n *Node[K, V]) {
 	t.freeNode(n)
 }
 
-// RebalanceSCX performs a pooled SCX for a policy's rebalancing step and, on
-// success, retires the removed nodes fin[:nf]. On failure the policy is
-// responsible for releasing the fresh nodes it built (ReleaseFresh).
+// RebalanceSCX performs a pooled SCX for a policy's rebalancing step (or the
+// engine's insertion) and, on success, retires the removed nodes fin[:nf].
+// On failure the caller is responsible for releasing the fresh nodes it
+// built (ReleaseFresh). Reading fields of a retired node afterwards is still
+// safe inside the invoking operation's pinned region: the node cannot be
+// recycled before the guard is released plus a grace period.
 func (t *Tree[K, V]) RebalanceSCX(g *epoch.Guard, v *[llxscx.MaxV]llxscx.Linked[Node[K, V]], nv int, fin *[llxscx.MaxV]*Node[K, V], nf int, fld *atomic.Pointer[Node[K, V]], old, new *Node[K, V]) bool {
 	if !llxscx.SCXP(g, t.descPool, v, nv, fin, nf, fld, old, new) {
 		return false
@@ -771,6 +770,40 @@ func (t *Tree[K, V]) Get(key K) (V, bool) {
 	return zero, false
 }
 
+// Contains reports whether key is present.
+func (t *Tree[K, V]) Contains(key K) bool {
+	g := epoch.Pin()
+	_, _, l := t.searchFn(t, key)
+	ok := t.isKey(key, l)
+	epoch.Unpin(g)
+	return ok
+}
+
+// LoadOrStore returns the value already associated with key (with
+// loaded=true) if key is present; otherwise it inserts value and returns it
+// (with loaded=false). Unlike a Get-then-Insert pair, a LoadOrStore race
+// between two goroutines guarantees exactly one of them stores, which makes
+// it the right primitive for sharing per-key state (for example a counter)
+// between concurrent writers. The guard is released by defer (panic-safety,
+// as in InsertBounded).
+func (t *Tree[K, V]) LoadOrStore(key K, value V) (actual V, loaded bool) {
+	g := epoch.Pin()
+	defer epoch.Unpin(g)
+	for fails := 0; ; {
+		_, p, l := t.searchFn(t, key)
+		if t.isKey(key, l) {
+			// The key was present while l was on the search path; linearize
+			// there, exactly as Get does.
+			return l.val.Load(), true
+		}
+		if t.tryInsert(g, key, value, p, l) {
+			return value, false
+		}
+		fails++
+		core.BackoffWait(fails)
+	}
+}
+
 // Insert associates value with key, returning the previous value and true
 // if key was present.
 //
@@ -927,11 +960,16 @@ func tryPublish[K, V any](l *Node[K, V], value V) (V, bool) {
 // tryInsert is one attempt of the insertion template update (hand-unrolled,
 // so an attempt stages its SCX evidence entirely on this frame): LLX the
 // parent and the leaf, build the replacement subtree from the pool, and
-// publish it with one pooled SCX. The old leaf is reused as the fringe of
-// the new subtree (PC6) - leaves carry no mutable balance bookkeeping, so no
-// copy is needed and nothing is finalized, exactly as in the non-blocking
-// BST of Ellen et al. The leaf stays in V, so the SCX fails if a concurrent
-// update froze it.
+// publish it with one pooled SCX. The new internal node takes the policy's
+// InternalDeco and sits above a fresh leaf for key and the old leaf.
+//
+// When the old leaf already carries LeafDeco it is reused as the fringe of
+// the new subtree and nothing is finalized (R is empty, PC6), exactly as in
+// the non-blocking BST of Ellen et al. that the template generalizes. The
+// leaf stays in V, so the SCX fails if a concurrent update froze it. A leaf
+// with any other decoration (an overweight chromatic leaf) is replaced by a
+// LeafDeco copy and finalized (PC9); the copy aliases its value cell, so a
+// racing in-place overwrite of that key stays visible through it.
 func (t *Tree[K, V]) tryInsert(g *epoch.Guard, key K, value V, p, l *Node[K, V]) bool {
 	lkP, st := llxscx.LLX(p)
 	if st != llxscx.Snapshot {
@@ -947,17 +985,25 @@ func (t *Tree[K, V]) tryInsert(g *epoch.Guard, key K, value V, p, l *Node[K, V])
 	}
 	// The key is absent (the overwrite fast path already handled a present
 	// key; l's key is immutable, so the check holds for this attempt).
-	keyLeaf := t.LeafNode(key, value)
+	keyLeaf := t.leafNode(key, value, t.leafDeco)
+	oldLeaf, nf := l, 0
+	if l.Deco != t.leafDeco {
+		oldLeaf, nf = t.CopyNode(lkL, t.leafDeco), 1
+	}
+	deco := t.pol.InternalDeco(p, l)
 	var repl *Node[K, V]
 	if t.keyLess(key, l) {
-		repl = t.InternalNode(l.K, t.pol.InternalDeco(), l.Inf, keyLeaf, l)
+		repl = t.InternalNode(l.K, deco, l.Inf, keyLeaf, oldLeaf)
 	} else {
-		repl = t.InternalNode(key, t.pol.InternalDeco(), false, l, keyLeaf)
+		repl = t.InternalNode(key, deco, false, oldLeaf, keyLeaf)
 	}
 	v := [llxscx.MaxV]llxscx.Linked[Node[K, V]]{lkP, lkL}
-	var fin [llxscx.MaxV]*Node[K, V]
-	if !llxscx.SCXP(g, t.descPool, &v, 2, &fin, 0, fld, l, repl) {
+	fin := [llxscx.MaxV]*Node[K, V]{l}
+	if !t.RebalanceSCX(g, &v, 2, &fin, nf, fld, l, repl) {
 		t.ReleaseFresh(keyLeaf)
+		if oldLeaf != l {
+			t.ReleaseFresh(oldLeaf)
+		}
 		t.ReleaseFresh(repl)
 		return false
 	}
@@ -969,8 +1015,9 @@ func (t *Tree[K, V]) tryInsert(g *epoch.Guard, key K, value V, p, l *Node[K, V])
 
 // tryReplace is one attempt of the snapshot-safe overwrite of a present key:
 // instead of publishing into the (possibly captured) leaf's cell in place, it
-// replaces the leaf with a fresh leaf owning a fresh cell, via an
-// insertion-shaped pooled SCX that finalizes the old leaf. Live snapshots
+// replaces the leaf with a fresh leaf of the same decoration owning a fresh
+// cell, via an insertion-shaped pooled SCX that finalizes the old leaf (the
+// decoration is unchanged, so no violation can be created). Live snapshots
 // resolve past the replacement through its prev link and keep reading the
 // frozen old cell. The displaced value is read from the old leaf's cell after
 // the SCX commits, mirroring the deletion template's argument: the read
@@ -990,7 +1037,7 @@ func (t *Tree[K, V]) tryReplace(g *epoch.Guard, key K, value V, p, l *Node[K, V]
 	if st != llxscx.Snapshot {
 		return zero, false
 	}
-	repl := t.LeafNode(key, value)
+	repl := t.leafNode(key, value, l.Deco)
 	v := [llxscx.MaxV]llxscx.Linked[Node[K, V]]{lkP, lkL}
 	fin := [llxscx.MaxV]*Node[K, V]{l}
 	if !llxscx.SCXP(g, t.descPool, &v, 2, &fin, 1, fld, l, repl) {
@@ -1071,14 +1118,16 @@ func (t *Tree[K, V]) tryDelete(g *epoch.Guard, key K, gp, p, l *Node[K, V]) (V, 
 	if st != llxscx.Snapshot {
 		return zero, false
 	}
-	// The promoted copy keeps the sibling's decoration: its own subtree is
-	// unchanged, so its balance bookkeeping is too. It must be a fresh copy,
-	// not s itself: the SCX protocol's ABA-freedom rests on every value
-	// stored into a child field being newly obtained (a stale helper retries
-	// its update CAS unconditionally, and re-installing a pointer the field
-	// once held would let that CAS resurrect a finalized subtree). Reuse is
-	// only safe for nodes that become children of fresh nodes, as in Insert.
-	repl := t.CopyNode(lkS, s.Deco)
+	// The promoted copy takes the policy's PromotedDeco (the sibling's own
+	// decoration for EBST and RAVL, the absorbed weight p.w+s.w for the
+	// chromatic tree). It must be a fresh copy even when the decoration is
+	// unchanged, not s itself: the SCX protocol's ABA-freedom rests on every
+	// value stored into a child field being newly obtained (a stale helper
+	// retries its update CAS unconditionally, and re-installing a pointer the
+	// field once held would let that CAS resurrect a finalized subtree).
+	// Reuse is only safe for nodes that become children of fresh nodes, as
+	// in tryInsert.
+	repl := t.CopyNode(lkS, t.pol.PromotedDeco(gp, p, s))
 	// V and R are ordered by a breadth-first traversal (PC8): the parent's
 	// children appear in left-to-right order.
 	var v [llxscx.MaxV]llxscx.Linked[Node[K, V]]
@@ -1114,112 +1163,56 @@ func (t *Tree[K, V]) tryDelete(g *epoch.Guard, key K, gp, p, l *Node[K, V]) (V, 
 // cleanup repeatedly searches for key from the entry point and asks the
 // policy to perform one rebalancing step at the first violation on the
 // path, restarting from the entry point after every step, until it reaches
-// a leaf without seeing a violation. This is the chromatic tree's Cleanup
-// loop (Figure 5 of the paper) generalized over the balancing policy. It
-// runs under the invoking operation's pinned guard g.
+// a leaf without seeing a violation (the chromatic tree's Cleanup loop,
+// Figure 5 of the paper, generalized over the balancing policy). Violation
+// is asked on every edge of the path, leaves included, and Rebalance gets
+// the violation's window of up to three ancestors. It runs under the
+// invoking operation's pinned guard g.
 //
-// Note that unlike the chromatic tree's VIOL property, a policy need not
-// guarantee that every violation stays on the search path of the key that
-// created it; cleanup then restores balance on this key's path and leaves
-// any violation it pushed elsewhere to later operations (that is the
-// "relaxed" in relaxed balancing).
+// A Tolerant policy's allowance is taken on the first walk: it goes on past
+// the first violation, counting, and returns without a step if the whole
+// path holds no more than the allowed number. Otherwise the first violation
+// is repaired and every later walk clears the path completely, as the
+// paper's Chromatic6 does once its threshold is crossed.
+//
+// Every chromatic step keeps a violation on the search path of the key
+// whose update created it (property VIOL), so the violation the caller
+// created is gone when cleanup returns. Other policies need not guarantee
+// VIOL; cleanup then restores balance on this key's path and leaves any
+// violation it pushed elsewhere to later operations (that is the "relaxed"
+// in relaxed balancing).
 func (t *Tree[K, V]) cleanup(g *epoch.Guard, key K) {
+	allowed := t.allowed
+restart:
 	for {
-		u := t.entry
-		n := t.entry.left.Load()
+		var ggp, gp, vggp, vgp, vp, vn *Node[K, V]
+		p, n := t.entry, t.entry.left.Load()
+		seen := 0
 		for {
 			if n == nil {
-				break // tree changed under us; restart
+				continue restart // tree changed under us
+			}
+			if t.pol.Violation(p, n) {
+				if seen == 0 {
+					vggp, vgp, vp, vn = ggp, gp, p, n
+				}
+				if seen++; seen > allowed {
+					break
+				}
 			}
 			if n.Leaf {
 				return
 			}
-			if !n.Inf && t.pol.Violation(n) {
-				t.pol.Rebalance(g, u, n)
-				break // restart the search from the entry point
-			}
-			u = n
+			ggp, gp, p = gp, p, n
 			if t.keyLess(key, n) {
 				n = n.left.Load()
 			} else {
 				n = n.right.Load()
 			}
 		}
+		t.pol.Rebalance(g, vggp, vgp, vp, vn)
+		allowed = 0
 	}
-}
-
-// Cleanup exposes the rebalancing loop for policies that want to schedule
-// extra cleanup passes (for example from a background rebalancer). It pins
-// its own reclamation guard.
-func (t *Tree[K, V]) Cleanup(key K) {
-	g := epoch.Pin()
-	t.cleanup(g, key)
-	epoch.Unpin(g)
-}
-
-// RebalanceStep runs one policy rebalancing step at n (whose search-path
-// parent is u) under a fresh pinned guard. It exists for quiescent drains
-// like ravl's RebalanceAll, which walk the tree themselves.
-func (t *Tree[K, V]) RebalanceStep(u, n *Node[K, V]) bool {
-	g := epoch.Pin()
-	ok := t.pol.Rebalance(g, u, n)
-	epoch.Unpin(g)
-	return ok
-}
-
-// Successor returns the smallest key strictly greater than key, with its
-// value; ok is false if no such key exists. See the generic implementation
-// in query.go.
-func (t *Tree[K, V]) Successor(key K) (k K, v V, ok bool) {
-	g := epoch.Pin()
-	k, v, ok = Successor(t.entry, t.less, key)
-	epoch.Unpin(g)
-	return k, v, ok
-}
-
-// Predecessor returns the largest key strictly smaller than key, with its
-// value; ok is false if no such key exists.
-func (t *Tree[K, V]) Predecessor(key K) (k K, v V, ok bool) {
-	g := epoch.Pin()
-	k, v, ok = Predecessor(t.entry, t.less, key)
-	epoch.Unpin(g)
-	return k, v, ok
-}
-
-// RangeScan calls fn for every key in [lo, hi] in ascending order and
-// returns the number of keys visited. If fn returns false the scan stops
-// early. The scan is atomic: it walks one O(1) snapshot of the tree (capture,
-// in-order walk, release; see Scan), so it reports exactly the keys in range
-// at a single instant, in O(log n + span) with no retries. Under
-// -tags noepoch it degrades to a Successor loop whose steps are each
-// linearizable but not the scan as a whole.
-func (t *Tree[K, V]) RangeScan(lo, hi K, fn func(k K, v V) bool) int {
-	return Scan(t.entry, t.less, &t.gver, &t.snapLive, &t.fastWriters, true, lo, hi, fn)
-}
-
-// Ascend calls fn for every key in the dictionary in ascending order and
-// returns the number of keys visited. If fn returns false the scan stops
-// early. Like RangeScan it is atomic, and per-step linearizable under
-// -tags noepoch.
-func (t *Tree[K, V]) Ascend(fn func(k K, v V) bool) int {
-	var zero K
-	return Scan(t.entry, t.less, &t.gver, &t.snapLive, &t.fastWriters, false, zero, zero, fn)
-}
-
-// Min returns the smallest key and its value, or ok=false if empty.
-func (t *Tree[K, V]) Min() (k K, v V, ok bool) {
-	g := epoch.Pin()
-	k, v, ok = Min[*Node[K, V], Node[K, V], K, V](t.entry)
-	epoch.Unpin(g)
-	return k, v, ok
-}
-
-// Max returns the largest key and its value, or ok=false if empty.
-func (t *Tree[K, V]) Max() (k K, v V, ok bool) {
-	g := epoch.Pin()
-	k, v, ok = Max[*Node[K, V], Node[K, V], K, V](t.entry)
-	epoch.Unpin(g)
-	return k, v, ok
 }
 
 // Size returns the number of keys stored. Quiescence only.
@@ -1246,21 +1239,18 @@ func (t *Tree[K, V]) Keys() []K {
 
 // Height returns the number of nodes on the longest path from the tree's
 // root (below the sentinels) to a leaf. Quiescence only.
-func (t *Tree[K, V]) Height() int { return height(t.root()) }
+func (t *Tree[K, V]) Height() int { return height(t.Root()) }
 
-// root returns the root of the tree proper (the leftmost grandchild of the
-// entry node), or nil when the dictionary is empty.
-func (t *Tree[K, V]) root() *Node[K, V] {
+// Root returns the root of the tree proper (the leftmost grandchild of the
+// entry node), or nil when the dictionary is empty. It is meant for
+// quiescent inspection by policies and tests.
+func (t *Tree[K, V]) Root() *Node[K, V] {
 	top := t.entry.left.Load()
 	if top == nil || top.Leaf {
 		return nil
 	}
 	return top.left.Load()
 }
-
-// Root exposes the root of the tree proper for quiescent inspection by
-// policies and tests; nil when the dictionary is empty.
-func (t *Tree[K, V]) Root() *Node[K, V] { return t.root() }
 
 func visitLeaves[K, V any](n *Node[K, V], fn func(*Node[K, V])) {
 	if n == nil {

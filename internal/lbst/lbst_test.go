@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/epoch"
 )
@@ -14,35 +15,51 @@ type intNode = Node[int64, int64]
 
 func intLess(a, b int64) bool { return a < b }
 
-// nopPolicy is the minimal policy: no decoration, no violations.
-type nopPolicy struct{}
+// genPolicy is the minimal policy at an arbitrary instantiation: no
+// decoration, no violations.
+type genPolicy[K, V any] struct{}
 
-func (nopPolicy) Name() string                                 { return "nop" }
-func (nopPolicy) InternalDeco() int64                          { return 0 }
-func (nopPolicy) CreatesViolation(_, _, _ *intNode) bool       { return false }
-func (nopPolicy) Violation(*intNode) bool                      { return false }
-func (nopPolicy) Rebalance(_ *epoch.Guard, _, _ *intNode) bool { return false }
+func (genPolicy[K, V]) Name() string                              { return "nop" }
+func (genPolicy[K, V]) LeafDeco() int32                           { return 0 }
+func (genPolicy[K, V]) InternalDeco(_, _ *Node[K, V]) int32       { return 0 }
+func (genPolicy[K, V]) PromotedDeco(_, _, s *Node[K, V]) int32    { return s.Deco }
+func (genPolicy[K, V]) CreatesViolation(_, _, _ *Node[K, V]) bool { return false }
+func (genPolicy[K, V]) Violation(_, _ *Node[K, V]) bool           { return false }
+func (genPolicy[K, V]) Rebalance(*epoch.Guard, *Node[K, V], *Node[K, V], *Node[K, V], *Node[K, V]) bool {
+	return false
+}
+
+type nopPolicy = genPolicy[int64, int64]
 
 // probePolicy records the engine's policy callbacks so the tests can verify
 // the engine honours the contract: CreatesViolation is consulted after every
 // structural change and a true return triggers a cleanup pass that consults
 // Violation along the key's search path.
 type probePolicy struct {
+	nopPolicy
 	created   atomic.Int64
 	violation atomic.Int64
 }
 
-func (p *probePolicy) Name() string        { return "probe" }
-func (p *probePolicy) InternalDeco() int64 { return 7 }
-func (p *probePolicy) CreatesViolation(parent, oldChild, newChild *intNode) bool {
+func (p *probePolicy) Name() string                     { return "probe" }
+func (p *probePolicy) InternalDeco(_, _ *intNode) int32 { return 7 }
+func (p *probePolicy) CreatesViolation(_, _, _ *intNode) bool {
 	p.created.Add(1)
 	return true
 }
-func (p *probePolicy) Violation(n *intNode) bool {
+func (p *probePolicy) Violation(_, _ *intNode) bool {
 	p.violation.Add(1)
 	return false
 }
-func (p *probePolicy) Rebalance(_ *epoch.Guard, _, _ *intNode) bool { return false }
+
+// TestNodeSize pins the engine node at 128 bytes for int64 keys and values:
+// one size class smaller than 136 and two cache lines per node on the
+// search walk. Growing it shows up in heap_bytes_per_key.
+func TestNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(intNode{}); got != 128 {
+		t.Fatalf("unsafe.Sizeof(Node[int64, int64]{}) = %d, want 128", got)
+	}
+}
 
 func TestEngineDictionarySemantics(t *testing.T) {
 	tr := New[int64, int64](intLess, nopPolicy{})
@@ -170,16 +187,6 @@ func TestEngineOrderedQueriesUnderConcurrency(t *testing.T) {
 		t.Fatalf("CheckStructure at quiescence: %v", err)
 	}
 }
-
-// genPolicy is the trivial policy at an arbitrary instantiation, used by
-// the construction tests below.
-type genPolicy[K, V any] struct{}
-
-func (genPolicy[K, V]) Name() string                                    { return "nop" }
-func (genPolicy[K, V]) InternalDeco() int64                             { return 0 }
-func (genPolicy[K, V]) CreatesViolation(_, _, _ *Node[K, V]) bool       { return false }
-func (genPolicy[K, V]) Violation(*Node[K, V]) bool                      { return false }
-func (genPolicy[K, V]) Rebalance(_ *epoch.Guard, _, _ *Node[K, V]) bool { return false }
 
 // TestNewOrderedInstallsSpecializedSearch pins the constructor-time search
 // selection: int64 trees get the generic cmp.Ordered specialization, string

@@ -7,10 +7,8 @@ import (
 )
 
 // This file implements the ordered queries of Section 5.5 of the paper -
-// Successor and Predecessor - generically, so that every leaf-oriented BST
-// in the repository (the engine's own trees and the chromatic tree, whose
-// update path stays hand-unrolled) shares one implementation, whatever its
-// key and value types.
+// Successor and Predecessor - and the Min/Max spine walks, once for every
+// leaf-oriented BST in the repository, whatever its key and value types.
 //
 // Both queries perform an ordinary BST search using LLX to read child
 // pointers; if the leaf reached already answers the query it is returned
@@ -20,49 +18,9 @@ import (
 // Min and Max walk to the outermost leaf with LLXs and validate the whole
 // spine with one VLX, so no "smallest possible key" sentinel value is ever
 // needed - which is what lets the queries work for arbitrary key types.
-
-// View is the read-only shape a leaf-oriented BST node must expose to share
-// the engine's traversal helpers. The node type remains free to lay out its
-// fields however it likes (the chromatic tree keeps its weight field; the
-// engine's Node carries the policy decoration).
-type View[N, K, V any] interface {
-	llxscx.DataRecord[N]
-	// Key returns the routing key (internal nodes) or dictionary key
-	// (leaves); ignored for sentinels.
-	Key() K
-	// Value returns the associated value (leaves only).
-	Value() V
-	// IsLeaf reports whether the node is a leaf.
-	IsLeaf() bool
-	// IsSentinel reports whether the node's key reads as +infinity.
-	IsSentinel() bool
-}
-
-func viewLess[P View[N, K, V], N, K, V any](less func(K, K) bool, key K, n P) bool {
-	return n.IsSentinel() || less(key, n.Key())
-}
-
-// genOf reads n's reclamation generation for the poisoning assertions.
-// Compiled out unless -tags reclaimcheck; the type assertion tolerates node
-// types without a generation counter.
-func genOf[P View[N, K, V], N, K, V any](n P) uint64 {
-	if !epoch.PoisonCheck {
-		return 0
-	}
-	if gn, ok := any(n).(interface{ Gen() uint64 }); ok {
-		return gn.Gen()
-	}
-	return 0
-}
-
-// assertGen panics if a node's generation changed while the (pinned) query
-// held it: the reclamation layer recycled memory a reader could still reach,
-// which the grace-period argument in DESIGN.md says must never happen.
-func assertGen[P View[N, K, V], N, K, V any](n P, g0 uint64) {
-	if epoch.PoisonCheck && genOf[P, N, K, V](n) != g0 {
-		panic("lbst: node recycled under a pinned reader (reclaimcheck)")
-	}
-}
+//
+// Each exported query pins the epoch for its duration, so nodes reached by
+// the traversal cannot be recycled underneath it.
 
 // pathBufCap is the capacity of the stack buffer each ordered query reuses
 // for its validation path across retries and descent steps. It comfortably
@@ -72,11 +30,30 @@ func assertGen[P View[N, K, V], N, K, V any](n P, g0 uint64) {
 // own frame, so steady-state queries generate no garbage per retry.
 const pathBufCap = 48
 
-// Successor returns the smallest key strictly greater than key together
-// with its value, or ok=false if no such key exists. entry must be the
-// sentinel entry point of the tree and less its key comparator.
-func Successor[P View[N, K, V], N, K, V any](entry P, less func(K, K) bool, key K) (k K, v V, ok bool) {
-	var buf [pathBufCap]llxscx.Linked[N]
+// readLeaf returns leaf l's key and value. Under -tags reclaimcheck it
+// asserts that l's generation is still g0, the one read before the caller's
+// validation: the reclamation layer must never recycle memory a pinned
+// reader can still reach (the grace-period argument in DESIGN.md).
+func readLeaf[K, V any](l *Node[K, V], g0 uint64) (K, V) {
+	k, v := l.K, l.val.Load()
+	if epoch.PoisonCheck && l.gen != g0 {
+		panic("lbst: node recycled under a pinned reader (reclaimcheck)")
+	}
+	return k, v
+}
+
+// Successor returns the smallest key strictly greater than key, with its
+// value; ok is false if no such key exists.
+func (t *Tree[K, V]) Successor(key K) (k K, v V, ok bool) {
+	g := epoch.Pin()
+	k, v, ok = t.successor(key)
+	epoch.Unpin(g)
+	return k, v, ok
+}
+
+// successor is Successor without the pin.
+func (t *Tree[K, V]) successor(key K) (k K, v V, ok bool) {
+	var buf [pathBufCap]llxscx.Linked[Node[K, V]]
 	path := buf[:0]
 	// Every retry means an LLX or the VLX lost to a concurrent update on the
 	// connecting path; back off (bounded, randomized, growing with the retry
@@ -86,17 +63,16 @@ retry:
 	for attempt := 0; ; attempt++ {
 		core.BackoffWait(attempt)
 		path = path[:0]
-		var lkLastLeft llxscx.Linked[N]
+		var lkLastLeft llxscx.Linked[Node[K, V]]
 		haveLastLeft := false
 
-		var nilNode P
-		l := entry
-		for !l.IsLeaf() {
+		l := t.entry
+		for !l.Leaf {
 			lk, st := llxscx.LLX(l)
 			if st != llxscx.Snapshot {
 				continue retry
 			}
-			if viewLess(less, key, l) {
+			if t.keyLess(key, l) {
 				lkLastLeft = lk
 				haveLastLeft = true
 				path = path[:0]
@@ -106,78 +82,75 @@ retry:
 				path = append(path, lk)
 				l = lk.Child(1)
 			}
-			if l == nilNode {
+			if l == nil {
 				continue retry
 			}
 		}
 		// The search for key always turns left at the sentinels, so lastLeft
 		// exists; if it is the entry node itself the dictionary is empty.
-		if !haveLastLeft || lkLastLeft.Node() == (*N)(entry) {
+		if !haveLastLeft || lkLastLeft.Node() == t.entry {
 			return k, v, false
 		}
-		if viewLess(less, key, l) {
+		if t.keyLess(key, l) {
 			// The leaf reached holds a key strictly greater than key, so it
 			// is the successor (linearized while it was on the search path).
-			if l.IsSentinel() {
+			if l.Inf {
 				return k, v, false
 			}
-			g0 := genOf[P, N, K, V](l)
-			k, v = l.Key(), l.Value()
-			assertGen(l, g0)
+			k, v = readLeaf(l, l.gen)
 			return k, v, true
 		}
 		// Otherwise the successor is the leftmost leaf of lastLeft's right
 		// subtree. Walk down to it with LLXs and validate the whole
 		// connecting path with a VLX.
-		succ := P(lkLastLeft.Child(1))
-		if succ == nilNode {
+		succ := lkLastLeft.Child(1)
+		if succ == nil {
 			continue retry
 		}
-		for !succ.IsLeaf() {
+		for !succ.Leaf {
 			lk, st := llxscx.LLX(succ)
 			if st != llxscx.Snapshot {
 				continue retry
 			}
 			path = append(path, lk)
 			succ = lk.Child(0)
-			if succ == nilNode {
+			if succ == nil {
 				continue retry
 			}
 		}
-		g0 := genOf[P, N, K, V](succ)
+		g0 := succ.gen
 		if !llxscx.VLX(path) {
 			continue retry
 		}
-		if succ.IsSentinel() {
+		if succ.Inf {
 			return k, v, false
 		}
-		k, v = succ.Key(), succ.Value()
-		assertGen(succ, g0)
+		k, v = readLeaf(succ, g0)
 		return k, v, true
 	}
 }
 
-// Predecessor returns the largest key strictly smaller than key together
-// with its value, or ok=false if no such key exists. entry must be the
-// sentinel entry point of the tree and less its key comparator.
-func Predecessor[P View[N, K, V], N, K, V any](entry P, less func(K, K) bool, key K) (k K, v V, ok bool) {
-	var buf [pathBufCap]llxscx.Linked[N]
+// Predecessor returns the largest key strictly smaller than key, with its
+// value; ok is false if no such key exists.
+func (t *Tree[K, V]) Predecessor(key K) (k K, v V, ok bool) {
+	g := epoch.Pin()
+	defer epoch.Unpin(g)
+	var buf [pathBufCap]llxscx.Linked[Node[K, V]]
 	path := buf[:0]
 retry:
 	for attempt := 0; ; attempt++ {
 		core.BackoffWait(attempt)
 		path = path[:0]
-		var lkLastRight llxscx.Linked[N]
+		var lkLastRight llxscx.Linked[Node[K, V]]
 		haveLastRight := false
 
-		var nilNode P
-		l := entry
-		for !l.IsLeaf() {
+		l := t.entry
+		for !l.Leaf {
 			lk, st := llxscx.LLX(l)
 			if st != llxscx.Snapshot {
 				continue retry
 			}
-			if viewLess(less, key, l) {
+			if t.keyLess(key, l) {
 				path = append(path, lk)
 				l = lk.Child(0)
 			} else {
@@ -187,16 +160,14 @@ retry:
 				path = append(path, lk)
 				l = lk.Child(1)
 			}
-			if l == nilNode {
+			if l == nil {
 				continue retry
 			}
 		}
-		if !l.IsSentinel() && less(l.Key(), key) {
+		if !l.Inf && t.less(l.K, key) {
 			// The leaf reached holds a key strictly smaller than key, so it
 			// is the predecessor.
-			g0 := genOf[P, N, K, V](l)
-			k, v = l.Key(), l.Value()
-			assertGen(l, g0)
+			k, v = readLeaf(l, l.gen)
 			return k, v, true
 		}
 		if !haveLastRight {
@@ -205,111 +176,107 @@ retry:
 			return k, v, false
 		}
 		// The predecessor is the rightmost leaf of lastRight's left subtree.
-		pred := P(lkLastRight.Child(0))
-		if pred == nilNode {
+		pred := lkLastRight.Child(0)
+		if pred == nil {
 			continue retry
 		}
-		for !pred.IsLeaf() {
+		for !pred.Leaf {
 			lk, st := llxscx.LLX(pred)
 			if st != llxscx.Snapshot {
 				continue retry
 			}
 			path = append(path, lk)
 			pred = lk.Child(1)
-			if pred == nilNode {
+			if pred == nil {
 				continue retry
 			}
 		}
-		g0 := genOf[P, N, K, V](pred)
+		g0 := pred.gen
 		if !llxscx.VLX(path) {
 			continue retry
 		}
-		if pred.IsSentinel() {
+		if pred.Inf {
 			return k, v, false
 		}
-		k, v = pred.Key(), pred.Value()
-		assertGen(pred, g0)
+		k, v = readLeaf(pred, g0)
 		return k, v, true
 	}
 }
 
-// RangeScan calls fn for every key in [lo, hi] in ascending order, using a
-// point probe for lo followed by repeated Successor queries. It returns the
-// number of keys visited. If fn returns false the scan stops early. The
+// rangeScanLoop calls fn for every key in [lo, hi] in ascending order, using
+// a point probe for lo followed by repeated Successor queries. It returns
+// the number of keys visited. If fn returns false the scan stops early. The
 // scan is not atomic as a whole: each step is individually linearizable.
-// It costs O(span·log n); the trees scan through Scan, which walks one
-// snapshot instead and uses this loop only under -tags noepoch.
-func RangeScan[P View[N, K, V], N, K, V any](entry P, less func(K, K) bool, lo, hi K, fn func(k K, v V) bool) int {
+// It costs O(span·log n); the trees scan through scan (snapshot.go), which
+// walks one snapshot instead and uses this loop only under -tags noepoch.
+func (t *Tree[K, V]) rangeScanLoop(lo, hi K, fn func(k K, v V) bool) int {
 	count := 0
 	// The first key in range is lo itself if present, else lo's successor;
 	// no "lo - 1" arithmetic, so the scan works for any key type.
-	k, v, ok := findLeaf(entry, less, lo)
+	k, v, ok := t.findLeaf(lo)
 	if !ok {
-		k, v, ok = Successor(entry, less, lo)
+		k, v, ok = t.successor(lo)
 	}
-	for ok && !less(hi, k) {
+	for ok && !t.less(hi, k) {
 		count++
 		if !fn(k, v) {
 			return count
 		}
-		k, v, ok = Successor(entry, less, k)
+		k, v, ok = t.successor(k)
 	}
 	return count
 }
 
-// Ascend calls fn for every key in the dictionary in ascending order, using
-// Min followed by repeated Successor queries. It returns the number of keys
-// visited. If fn returns false the scan stops early. Each step is
-// individually linearizable. Like RangeScan it is Scan's -tags noepoch
-// fallback.
-func Ascend[P View[N, K, V], N, K, V any](entry P, less func(K, K) bool, fn func(k K, v V) bool) int {
+// ascendLoop calls fn for every key in ascending order, using Min followed
+// by repeated Successor queries, and returns the number of keys visited. If
+// fn returns false the scan stops early. Each step is individually
+// linearizable. Like rangeScanLoop it is the -tags noepoch fallback.
+func (t *Tree[K, V]) ascendLoop(fn func(k K, v V) bool) int {
 	count := 0
-	k, v, ok := Min[P, N, K, V](entry)
+	k, v, ok := t.Min()
 	for ok {
 		count++
 		if !fn(k, v) {
 			return count
 		}
-		k, v, ok = Successor(entry, less, k)
+		k, v, ok = t.successor(k)
 	}
 	return count
 }
 
 // Min returns the smallest key in the dictionary and its value, or ok=false
 // if the dictionary is empty. It walks to the leftmost leaf with LLXs and
-// validates the spine with a VLX, so the result is linearizable. Because K
-// and V only appear in the constraint and results, call sites must
-// instantiate the type parameters explicitly.
-func Min[P View[N, K, V], N, K, V any](entry P) (k K, v V, ok bool) {
-	var buf [pathBufCap]llxscx.Linked[N]
+// validates the spine with a VLX, so the result is linearizable.
+func (t *Tree[K, V]) Min() (k K, v V, ok bool) {
+	g := epoch.Pin()
+	defer epoch.Unpin(g)
+	var buf [pathBufCap]llxscx.Linked[Node[K, V]]
 	path := buf[:0]
 retry:
 	for attempt := 0; ; attempt++ {
 		core.BackoffWait(attempt)
 		path = path[:0]
-		var nilNode P
-		l := entry
-		for !l.IsLeaf() {
+		l := t.entry
+		for !l.Leaf {
 			lk, st := llxscx.LLX(l)
 			if st != llxscx.Snapshot {
 				continue retry
 			}
 			path = append(path, lk)
 			l = lk.Child(0)
-			if l == nilNode {
+			if l == nil {
 				continue retry
 			}
 		}
-		g0 := genOf[P, N, K, V](l)
+		g0 := l.gen
 		if !llxscx.VLX(path) {
 			continue retry
 		}
-		if l.IsSentinel() {
+		if l.Inf {
 			// The leftmost leaf is the sentinel leaf: the dictionary is empty.
 			return k, v, false
 		}
-		k, v = l.Key(), l.Value()
-		assertGen(l, g0)
+		k, v = readLeaf(l, g0)
 		return k, v, true
 	}
 }
@@ -318,26 +285,26 @@ retry:
 // if the dictionary is empty. The rightmost spine of the entry structure
 // ends at a sentinel leaf, so Max walks to the rightmost leaf of the tree
 // proper (the left subtree below the top sentinel), which contains no
-// sentinels. Like Min it validates the whole spine with a VLX and requires
-// explicit instantiation.
-func Max[P View[N, K, V], N, K, V any](entry P) (k K, v V, ok bool) {
-	var buf [pathBufCap]llxscx.Linked[N]
+// sentinels. Like Min it validates the whole spine with a VLX.
+func (t *Tree[K, V]) Max() (k K, v V, ok bool) {
+	g := epoch.Pin()
+	defer epoch.Unpin(g)
+	var buf [pathBufCap]llxscx.Linked[Node[K, V]]
 	path := buf[:0]
 retry:
 	for attempt := 0; ; attempt++ {
 		core.BackoffWait(attempt)
 		path = path[:0]
-		var nilNode P
-		lkE, st := llxscx.LLX(entry)
+		lkE, st := llxscx.LLX(t.entry)
 		if st != llxscx.Snapshot {
 			continue retry
 		}
 		path = append(path, lkE)
-		top := P(lkE.Child(0))
-		if top == nilNode {
+		top := lkE.Child(0)
+		if top == nil {
 			continue retry
 		}
-		if top.IsLeaf() {
+		if top.Leaf {
 			// Figure 10(a): the dictionary is empty.
 			if !llxscx.VLX(path) {
 				continue retry
@@ -349,53 +316,39 @@ retry:
 			continue retry
 		}
 		path = append(path, lkTop)
-		l := P(lkTop.Child(0))
-		if l == nilNode {
+		l := lkTop.Child(0)
+		if l == nil {
 			continue retry
 		}
-		for !l.IsLeaf() {
+		for !l.Leaf {
 			lk, st := llxscx.LLX(l)
 			if st != llxscx.Snapshot {
 				continue retry
 			}
 			path = append(path, lk)
 			l = lk.Child(1)
-			if l == nilNode {
+			if l == nil {
 				continue retry
 			}
 		}
-		g0 := genOf[P, N, K, V](l)
+		g0 := l.gen
 		if !llxscx.VLX(path) {
 			continue retry
 		}
-		if l.IsSentinel() {
+		if l.Inf {
 			continue retry
 		}
-		k, v = l.Key(), l.Value()
-		assertGen(l, g0)
+		k, v = readLeaf(l, g0)
 		return k, v, true
 	}
 }
 
 // findLeaf performs a plain-read search for key and reports its value if a
 // leaf holding exactly key is reached.
-func findLeaf[P View[N, K, V], N, K, V any](entry P, less func(K, K) bool, key K) (k K, v V, ok bool) {
-	var nilNode P
-	l := entry
-	for !l.IsLeaf() {
-		var next P
-		if viewLess(less, key, l) {
-			next = P(l.Mutable(0).Load())
-		} else {
-			next = P(l.Mutable(1).Load())
-		}
-		if next == nilNode {
-			return k, v, false
-		}
-		l = next
-	}
-	if !l.IsSentinel() && !less(key, l.Key()) && !less(l.Key(), key) {
-		return l.Key(), l.Value(), true
+func (t *Tree[K, V]) findLeaf(key K) (k K, v V, ok bool) {
+	_, _, l := t.searchFn(t, key)
+	if t.isKey(key, l) {
+		return l.K, l.val.Load(), true
 	}
 	return k, v, false
 }

@@ -245,15 +245,18 @@ func LLX[P DataRecord[N], N any](r P) (Linked[N], Status) {
 	return Linked[N]{}, Fail
 }
 
-// SCX attempts to atomically store new into *fld and finalize every record in
-// finalize, provided that no record in v has changed since the linked LLX
-// that produced its evidence. v must be ordered as required by the tree
-// update template (Constraint 2 / postcondition PC8); finalize must identify
-// a subset of the records in v; the record containing fld must be in v; and
-// old must be the value of *fld observed by that record's linked LLX.
+// SCXFixed attempts to atomically store new into *fld and finalize every
+// record in finalize, provided that no record in v has changed since the
+// linked LLX that produced its evidence. v holds the first nv linked LLX
+// results and finalize the first nf records to finalize, both staged in
+// caller-owned fixed-capacity arrays (typically on the caller's stack). v
+// must be ordered as required by the tree update template (Constraint 2 /
+// postcondition PC8); finalize must identify a subset of the records in v;
+// the record containing fld must be in v; and old must be the value of *fld
+// observed by that record's linked LLX.
 //
-// SCX returns true if it modified the data structure and false if it failed
-// because some record in v changed since its linked LLX.
+// SCXFixed returns true if it modified the data structure and false if it
+// failed because some record in v changed since its linked LLX.
 //
 // new must be freshly obtained - never a value that fld (or any mutable
 // field) has held while any current operation could have observed it.
@@ -265,24 +268,12 @@ func LLX[P DataRecord[N], N any](r P) (Linked[N], Status) {
 // snapshot holder can still name its previous incarnation (DESIGN.md
 // re-derives this).
 //
-// SCX is the slice-based convenience wrapper; v must not exceed MaxV
-// entries. Hot paths that stage their evidence in stack arrays should call
-// SCXFixed directly, which performs exactly one allocation (the descriptor).
-func SCX[P DataRecord[N], N any](v []Linked[N], finalize []P, fld *atomic.Pointer[N], old, new *N) bool {
-	var va [MaxV]Linked[N]
-	var ra [MaxV]P
-	copy(va[:], v)
-	copy(ra[:], finalize)
-	return SCXFixed(&va, len(v), &ra, len(finalize), fld, old, new)
-}
-
-// SCXFixed is the slice-free SCX entry point: v holds the first nv linked
-// LLX results and finalize the first nf records to finalize, both staged in
-// caller-owned fixed-capacity arrays (typically on the caller's stack). The
-// contract is exactly SCX's. nv must be in [1, MaxV] and nf in [0, nv];
-// out-of-range lengths panic, since they indicate an update whose V sequence
-// does not fit the inline descriptor storage (raise MaxV if a new data
-// structure legitimately needs a larger update).
+// SCXFixed allocates its descriptor and leaves it to the garbage collector;
+// the trees call SCXP, the pooled entry point, which falls back to SCXFixed
+// when epoch reclamation is compiled out. nv must be in [1, MaxV] and nf in
+// [0, nv]; out-of-range lengths panic, since they indicate an update whose V
+// sequence does not fit the inline descriptor storage (raise MaxV if a new
+// data structure legitimately needs a larger update).
 func SCXFixed[P DataRecord[N], N any](v *[MaxV]Linked[N], nv int, finalize *[MaxV]P, nf int, fld *atomic.Pointer[N], old, new *N) bool {
 	if nv < 1 || nv > MaxV || nf < 0 || nf > nv {
 		panic("llxscx: SCXFixed sequence lengths out of range")

@@ -1,10 +1,8 @@
 package llxscx
 
-// Tests for the slice-free SCXFixed/VLXFixed entry points. They mirror the
-// slice-based tests in llxscx_test.go and additionally assert that the two
-// entry points are behaviourally identical: the slice API is a thin copy-in
-// wrapper over the inline-array API, so any scenario must commit or abort
-// the same way through either.
+// Tests for the unpooled SCXFixed entry point (SCXP's fallback when epoch
+// reclamation is compiled out) and for VLXFixed. They mirror the SCXP tests
+// in llxscx_test.go, and assert that the slice VLX and VLXFixed agree.
 
 import (
 	"sync"
@@ -117,53 +115,35 @@ func TestVLXFixedDetectsChange(t *testing.T) {
 	}
 }
 
-// TestSliceWrappersAgreeWithFixed pins the wrapper relationship: the same
-// stale-evidence scenario must abort, and the same fresh-evidence scenario
-// must commit, through both entry points.
+// TestSliceWrappersAgreeWithFixed pins the wrapper relationship between the
+// slice VLX and VLXFixed: fresh evidence validates and stale evidence fails
+// through both entry points.
 func TestSliceWrappersAgreeWithFixed(t *testing.T) {
-	for _, useFixed := range []bool{false, true} {
-		child := newTNode(1, nil, nil)
-		root := newTNode(2, child, nil)
-
-		stale, _ := LLX(root)
-		staleChild, _ := LLX(child)
-
-		// Competing update through the other entry point.
-		lkRoot, _ := LLX(root)
-		lkChild, _ := LLX(child)
-		winner := newTNode(7, nil, nil)
-		var okWin bool
-		if useFixed {
-			v, nv := fixedV(lkRoot, lkChild)
-			r, nr := fixedR(child)
-			okWin = SCXFixed(&v, nv, &r, nr, &root.left, child, winner)
-		} else {
-			okWin = SCX([]Linked[tnode]{lkRoot, lkChild}, []*tnode{child}, &root.left, child, winner)
-		}
-		if !okWin {
-			t.Fatalf("useFixed=%v: fresh SCX should commit", useFixed)
-		}
-
-		// The stale evidence must abort through the opposite entry point.
-		loser := newTNode(8, nil, nil)
-		var okLose bool
-		if useFixed {
-			okLose = SCX([]Linked[tnode]{stale, staleChild}, []*tnode{child}, &root.left, child, loser)
-		} else {
-			v, nv := fixedV(stale, staleChild)
-			r, nr := fixedR(child)
-			okLose = SCXFixed(&v, nv, &r, nr, &root.left, child, loser)
-		}
-		if okLose {
-			t.Fatalf("useFixed=%v: stale SCX should abort", useFixed)
-		}
-		if got := root.left.Load(); got != winner {
-			t.Fatalf("useFixed=%v: root.left = %p, want winner %p", useFixed, got, winner)
-		}
-		if !child.rec.Marked() {
-			t.Fatalf("useFixed=%v: replaced child not finalized", useFixed)
+	child := newTNode(1, nil, nil)
+	root := newTNode(2, child, nil)
+	stale, _ := LLX(root)
+	staleChild, _ := LLX(child)
+	agree := func(want bool, lks ...Linked[tnode]) {
+		t.Helper()
+		v, nv := fixedV(lks...)
+		if got, gotFixed := VLX(lks), VLXFixed(&v, nv); got != want || gotFixed != want {
+			t.Fatalf("VLX = %v, VLXFixed = %v, want %v", got, gotFixed, want)
 		}
 	}
+	agree(true, stale, staleChild)
+
+	lkRoot, _ := LLX(root)
+	lkChild, _ := LLX(child)
+	v, nv := fixedV(lkRoot, lkChild)
+	r, nr := fixedR(child)
+	winner := newTNode(7, nil, nil)
+	if !SCXFixed(&v, nv, &r, nr, &root.left, child, winner) {
+		t.Fatal("fresh SCXFixed should commit")
+	}
+	agree(false, stale, staleChild)
+	lkRoot, _ = LLX(root)
+	lkWinner, _ := LLX(winner)
+	agree(true, lkRoot, lkWinner)
 }
 
 func TestSCXFixedPanicsOnBadLengths(t *testing.T) {
@@ -189,23 +169,23 @@ func TestSCXFixedPanicsOnBadLengths(t *testing.T) {
 	expectPanic("vlx n>MaxV", func() { VLXFixed(&v, MaxV+1) })
 }
 
-// TestConcurrentFixedAndSliceSCXStress interleaves the two entry points on a
-// shared parent under contention. The committed updates must form a single
-// consistent chain whichever path performed them: every replaced node is
-// finalized, the surviving node is not, and at least one SCX from each entry
-// point commits (progress through both paths).
-func TestConcurrentFixedAndSliceSCXStress(t *testing.T) {
+// TestConcurrentSCXFixedStress hammers a shared parent with SCXFixed
+// under contention: every replaced node is finalized, the surviving node is
+// not, and some SCX commits (progress). SCXFixed and SCXP never share
+// records - an unpooled descriptor holds no reference on the pooled one its
+// freezing CAS expects, reintroducing the ABA the pool rules out - so the
+// pooled path is stressed on its own in TestConcurrentSCXOnSharedParent.
+func TestConcurrentSCXFixedStress(t *testing.T) {
 	root := newTNode(0, newTNode(1, nil, nil), nil)
 	const goroutines = 8
 	const attempts = 2000
 
-	var fixedSuccesses, sliceSuccesses atomic.Int64
+	var successes atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			useFixed := id%2 == 0
 			for i := 0; i < attempts; i++ {
 				lkRoot, st := LLX(root)
 				if st != Snapshot {
@@ -221,20 +201,10 @@ func TestConcurrentFixedAndSliceSCXStress(t *testing.T) {
 					continue
 				}
 				repl := newTNode(int64(id*attempts+i+1000), nil, nil)
-				var ok bool
-				if useFixed {
-					v, nv := fixedV(lkRoot, lkChild)
-					r, nr := fixedR(child)
-					ok = SCXFixed(&v, nv, &r, nr, &root.left, child, repl)
-				} else {
-					ok = SCX([]Linked[tnode]{lkRoot, lkChild}, []*tnode{child}, &root.left, child, repl)
-				}
-				if ok {
-					if useFixed {
-						fixedSuccesses.Add(1)
-					} else {
-						sliceSuccesses.Add(1)
-					}
+				v, nv := fixedV(lkRoot, lkChild)
+				r, nr := fixedR(child)
+				if SCXFixed(&v, nv, &r, nr, &root.left, child, repl) {
+					successes.Add(1)
 					if !child.rec.Marked() {
 						t.Errorf("replaced child not finalized")
 						return
@@ -248,20 +218,17 @@ func TestConcurrentFixedAndSliceSCXStress(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if fixedSuccesses.Load() == 0 {
+	if successes.Load() == 0 {
 		t.Fatal("no SCXFixed succeeded under contention")
-	}
-	if sliceSuccesses.Load() == 0 {
-		t.Fatal("no slice SCX succeeded under contention")
 	}
 	if cur := root.left.Load(); cur.rec.Marked() {
 		t.Fatal("current child of root is finalized but still in the structure")
 	}
 }
 
-// BenchmarkSCXFixedUncontended is the inline-array counterpart of
-// BenchmarkSCXUncontended; the delta between the two is the wrapper's
-// copy-in cost plus the slice allocations at the call site.
+// BenchmarkSCXFixedUncontended is the unpooled counterpart of
+// BenchmarkSCXUncontended; the delta between the two is the descriptor
+// allocation SCXP's pool saves.
 func BenchmarkSCXFixedUncontended(b *testing.B) {
 	root := newTNode(2, newTNode(1, nil, nil), nil)
 	b.ReportAllocs()

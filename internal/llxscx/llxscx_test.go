@@ -4,7 +4,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/epoch"
 )
+
+// The tests in this file drive SCXP, the pooled entry point every tree
+// uses; llxscx_fixed_test.go covers SCXFixed, its unpooled fallback.
 
 // tnode is a minimal binary Data-record used to exercise the primitives
 // directly, independent of any particular tree algorithm.
@@ -29,6 +34,15 @@ func newTNode(key int64, left, right *tnode) *tnode {
 	n.left.Store(left)
 	n.right.Store(right)
 	return n
+}
+
+// scxp stages slices of evidence in stack arrays, as the trees do, and runs
+// one pooled SCX under the caller's pinned guard g.
+func scxp(g *epoch.Guard, pool *Pool[tnode], v []Linked[tnode], fin []*tnode, fld *atomic.Pointer[tnode], old, new *tnode) bool {
+	var va [MaxV]Linked[tnode]
+	var fa [MaxV]*tnode
+	nv, nf := copy(va[:], v), copy(fa[:], fin)
+	return SCXP(g, pool, &va, nv, &fa, nf, fld, old, new)
 }
 
 func TestLLXSnapshotOfQuiescentRecord(t *testing.T) {
@@ -60,6 +74,8 @@ func TestZeroLinkedIsInvalid(t *testing.T) {
 }
 
 func TestSCXSwingsChildPointerAndFinalizes(t *testing.T) {
+	g, pool := epoch.Pin(), NewPool[tnode]()
+	defer epoch.Unpin(g)
 	oldLeaf := newTNode(1, nil, nil)
 	sibling := newTNode(3, nil, nil)
 	root := newTNode(2, oldLeaf, sibling)
@@ -74,9 +90,9 @@ func TestSCXSwingsChildPointerAndFinalizes(t *testing.T) {
 	}
 
 	repl := newTNode(10, nil, nil)
-	ok := SCX([]Linked[tnode]{lkRoot, lkLeaf}, []*tnode{oldLeaf}, &root.left, oldLeaf, repl)
+	ok := scxp(g, pool, []Linked[tnode]{lkRoot, lkLeaf}, []*tnode{oldLeaf}, &root.left, oldLeaf, repl)
 	if !ok {
-		t.Fatal("SCX failed on uncontended update")
+		t.Fatal("SCXP failed on uncontended update")
 	}
 	if got := root.left.Load(); got != repl {
 		t.Fatalf("root.left = %p, want %p", got, repl)
@@ -97,6 +113,8 @@ func TestSCXSwingsChildPointerAndFinalizes(t *testing.T) {
 }
 
 func TestSCXFailsIfRecordChangedSinceLinkedLLX(t *testing.T) {
+	g, pool := epoch.Pin(), NewPool[tnode]()
+	defer epoch.Unpin(g)
 	a := newTNode(1, nil, nil)
 	b := newTNode(3, nil, nil)
 	root := newTNode(2, a, b)
@@ -108,12 +126,12 @@ func TestSCXFailsIfRecordChangedSinceLinkedLLX(t *testing.T) {
 	lkRoot2, _ := LLX(root)
 	lkA2, _ := LLX(a)
 	winner := newTNode(7, nil, nil)
-	if !SCX([]Linked[tnode]{lkRoot2, lkA2}, []*tnode{a}, &root.left, a, winner) {
+	if !scxp(g, pool, []Linked[tnode]{lkRoot2, lkA2}, []*tnode{a}, &root.left, a, winner) {
 		t.Fatal("first SCX should succeed")
 	}
 
 	loser := newTNode(8, nil, nil)
-	if SCX([]Linked[tnode]{lkRoot, lkA}, []*tnode{a}, &root.left, a, loser) {
+	if scxp(g, pool, []Linked[tnode]{lkRoot, lkA}, []*tnode{a}, &root.left, a, loser) {
 		t.Fatal("second SCX should fail: root changed since its linked LLX")
 	}
 	if got := root.left.Load(); got != winner {
@@ -122,6 +140,8 @@ func TestSCXFailsIfRecordChangedSinceLinkedLLX(t *testing.T) {
 }
 
 func TestVLXDetectsChange(t *testing.T) {
+	g, pool := epoch.Pin(), NewPool[tnode]()
+	defer epoch.Unpin(g)
 	a := newTNode(1, nil, nil)
 	b := newTNode(3, nil, nil)
 	root := newTNode(2, a, b)
@@ -135,7 +155,7 @@ func TestVLXDetectsChange(t *testing.T) {
 	// Change root via an SCX, then the old evidence must fail to validate.
 	lkRoot2, _ := LLX(root)
 	lkA2, _ := LLX(a)
-	if !SCX([]Linked[tnode]{lkRoot2, lkA2}, []*tnode{a}, &root.left, a, newTNode(9, nil, nil)) {
+	if !scxp(g, pool, []Linked[tnode]{lkRoot2, lkA2}, []*tnode{a}, &root.left, a, newTNode(9, nil, nil)) {
 		t.Fatal("SCX should succeed")
 	}
 	if VLX([]Linked[tnode]{lkRoot, lkA}) {
@@ -158,6 +178,7 @@ func TestStatusString(t *testing.T) {
 // finalized.
 func TestConcurrentSCXOnSharedParent(t *testing.T) {
 	root := newTNode(0, newTNode(1, nil, nil), nil)
+	pool := NewPool[tnode]()
 	const goroutines = 8
 	const attempts = 2000
 
@@ -168,21 +189,29 @@ func TestConcurrentSCXOnSharedParent(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			for i := 0; i < attempts; i++ {
+				// One pinned region per attempt, LLXs included, exactly as a
+				// tree operation holds it.
+				g := epoch.Pin()
 				lkRoot, st := LLX(root)
 				if st != Snapshot {
+					epoch.Unpin(g)
 					continue
 				}
 				child := lkRoot.Child(0)
 				if child == nil {
+					epoch.Unpin(g)
 					t.Errorf("child unexpectedly nil")
 					return
 				}
 				lkChild, st := LLX(child)
 				if st != Snapshot {
+					epoch.Unpin(g)
 					continue
 				}
 				repl := newTNode(int64(id*attempts+i+1000), nil, nil)
-				if SCX([]Linked[tnode]{lkRoot, lkChild}, []*tnode{child}, &root.left, child, repl) {
+				ok := scxp(g, pool, []Linked[tnode]{lkRoot, lkChild}, []*tnode{child}, &root.left, child, repl)
+				epoch.Unpin(g)
+				if ok {
 					successes.Add(1)
 					if !child.rec.Marked() {
 						t.Errorf("replaced child not finalized")
@@ -206,11 +235,13 @@ func TestConcurrentSCXOnSharedParent(t *testing.T) {
 // stale snapshot of a record that a committed SCX has already replaced: after
 // the SCX commits, LLX on the removed record must return Finalized.
 func TestLLXFinalizedAfterRemoval(t *testing.T) {
+	g, pool := epoch.Pin(), NewPool[tnode]()
+	defer epoch.Unpin(g)
 	child := newTNode(1, nil, nil)
 	root := newTNode(2, child, nil)
 	lkRoot, _ := LLX(root)
 	lkChild, _ := LLX(child)
-	if !SCX([]Linked[tnode]{lkRoot, lkChild}, []*tnode{child}, &root.left, child, newTNode(5, nil, nil)) {
+	if !scxp(g, pool, []Linked[tnode]{lkRoot, lkChild}, []*tnode{child}, &root.left, child, newTNode(5, nil, nil)) {
 		t.Fatal("SCX failed")
 	}
 	for i := 0; i < 10; i++ {
@@ -230,16 +261,21 @@ func BenchmarkLLX(b *testing.B) {
 	}
 }
 
+// BenchmarkSCXUncontended times one pooled SCXP with its two LLXs, the
+// descriptor coming from (and returning to) the pool.
 func BenchmarkSCXUncontended(b *testing.B) {
 	root := newTNode(2, newTNode(1, nil, nil), nil)
+	pool := NewPool[tnode]()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		g := epoch.Pin()
 		lkRoot, _ := LLX(root)
 		child := lkRoot.Child(0)
 		lkChild, _ := LLX(child)
 		repl := newTNode(int64(i), nil, nil)
-		if !SCX([]Linked[tnode]{lkRoot, lkChild}, []*tnode{child}, &root.left, child, repl) {
-			b.Fatal("uncontended SCX failed")
+		if !scxp(g, pool, []Linked[tnode]{lkRoot, lkChild}, []*tnode{child}, &root.left, child, repl) {
+			b.Fatal("uncontended SCXP failed")
 		}
+		epoch.Unpin(g)
 	}
 }

@@ -73,10 +73,17 @@ type policy[K, V any] struct {
 // Name implements lbst.Policy.
 func (p *policy[K, V]) Name() string { return "RAVL" }
 
+// LeafDeco implements lbst.Policy: leaves have height 0.
+func (p *policy[K, V]) LeafDeco() int32 { return 0 }
+
 // InternalDeco implements lbst.Policy: the internal node created by an
 // insertion sits above two leaves (height 0), so its locally correct height
 // is 1.
-func (p *policy[K, V]) InternalDeco() int64 { return 1 }
+func (p *policy[K, V]) InternalDeco(_, _ *lbst.Node[K, V]) int32 { return 1 }
+
+// PromotedDeco implements lbst.Policy: the promoted sibling's subtree is
+// unchanged, so it keeps its height.
+func (p *policy[K, V]) PromotedDeco(_, _, s *lbst.Node[K, V]) int32 { return s.Deco }
 
 // CreatesViolation implements lbst.Policy. Replacing oldChild by newChild
 // below parent can only create a violation at parent, and only if the
@@ -97,10 +104,14 @@ func (p *policy[K, V]) CreatesViolation(parent, oldChild, newChild *lbst.Node[K,
 	return true
 }
 
-// Violation implements lbst.Policy: using plain reads, an internal node is
-// in violation if its stored height is not one more than its children's
-// maximum, or if the children's stored heights differ by two or more.
-func (p *policy[K, V]) Violation(n *lbst.Node[K, V]) bool {
+// Violation implements lbst.Policy: using plain reads, an internal
+// non-sentinel node is in violation if its stored height is not one more
+// than its children's maximum, or if the children's stored heights differ
+// by two or more. Leaves and sentinels carry no height bookkeeping.
+func (p *policy[K, V]) Violation(_, n *lbst.Node[K, V]) bool {
+	if n.Leaf || n.Inf {
+		return false
+	}
 	l, r := n.Left(), n.Right()
 	if l == nil || r == nil {
 		return false
@@ -110,13 +121,14 @@ func (p *policy[K, V]) Violation(n *lbst.Node[K, V]) bool {
 }
 
 // Rebalance implements lbst.Policy: one localized rebalancing step at n,
-// whose parent on the search path is u, expressed as LLXs followed by a
+// whose parent on the search path is u (the steps need no higher
+// ancestor), expressed as LLXs followed by a
 // single SCX exactly like the engine's insertions and deletions (the V
 // sequences are ordered root-to-leaf, satisfying PC8, and every removed
 // node reappears only as a copy, satisfying PC9). Fresh nodes come from the
 // engine's node pool and are released back immediately when the SCX fails;
 // removed nodes are retired by the engine's RebalanceSCX.
-func (p *policy[K, V]) Rebalance(g *epoch.Guard, u, n *lbst.Node[K, V]) bool {
+func (p *policy[K, V]) Rebalance(g *epoch.Guard, _, _, u, n *lbst.Node[K, V]) bool {
 	lkU, st := llxscx.LLX(u)
 	if st != llxscx.Snapshot {
 		return false
@@ -370,7 +382,10 @@ func (t *Tree[K, V]) RebalanceAll(maxSteps int) (int, error) {
 		if steps >= maxSteps {
 			return steps, fmt.Errorf("rebalancing did not converge after %d steps (violation at key %v)", steps, n.K)
 		}
-		if !t.RebalanceStep(u, n) {
+		g := epoch.Pin()
+		ok := t.pol.Rebalance(g, nil, nil, u, n)
+		epoch.Unpin(g)
+		if !ok {
 			return steps, fmt.Errorf("rebalancing step failed at quiescence (key %v)", n.K)
 		}
 		steps++
@@ -393,7 +408,7 @@ func (t *Tree[K, V]) findViolation() (u, n *lbst.Node[K, V]) {
 		if pu, pn := rec(nd, nd.Right()); pn != nil {
 			return pu, pn
 		}
-		if !nd.Inf && t.pol.Violation(nd) {
+		if t.pol.Violation(parent, nd) {
 			return parent, nd
 		}
 		return nil, nil
@@ -410,7 +425,7 @@ func (t *Tree[K, V]) CountViolations() int {
 		if nd == nil || nd.Leaf {
 			return
 		}
-		if !nd.Inf && t.pol.Violation(nd) {
+		if t.pol.Violation(nil, nd) {
 			count++
 		}
 		rec(nd.Left())
@@ -422,7 +437,8 @@ func (t *Tree[K, V]) CountViolations() int {
 
 // CheckAVL verifies that the tree is an exact AVL tree: the shared
 // structural invariants hold (CheckStructure), every stored height equals
-// the node's true height, and every internal node's subtree heights differ
+// the node's true height (0 at the leaves), and every internal node's
+// subtree heights differ
 // by at most one. After sequential operation - or after RebalanceAll at
 // quiescence - this must hold. It returns nil on success.
 func (t *Tree[K, V]) CheckAVL() error {
@@ -433,10 +449,13 @@ func (t *Tree[K, V]) CheckAVL() error {
 	if root == nil {
 		return nil
 	}
-	var walk func(nd *lbst.Node[K, V]) (int64, error)
-	walk = func(nd *lbst.Node[K, V]) (int64, error) {
+	var walk func(nd *lbst.Node[K, V]) (int32, error)
+	walk = func(nd *lbst.Node[K, V]) (int32, error) {
 		if nd.Leaf {
-			return 0, nil // CheckStructure already verified leaf decorations
+			if nd.Deco != 0 {
+				return 0, fmt.Errorf("leaf %v stores height %d, want 0", nd.K, nd.Deco)
+			}
+			return 0, nil
 		}
 		hl, err := walk(nd.Left())
 		if err != nil {

@@ -9,16 +9,19 @@ package repro
 // schedule is checked against the sequential specification, and the seeded
 // dropped-freeze protocol mutation is proven to be caught.
 //
-// The windows run on EBST: it is the plainest instantiation of the tree
+// Most windows run on EBST: it is the plainest instantiation of the tree
 // update template (no rebalancing policy), so its point sequence is the
 // template's own — insertion SCX freezing {p, l}, deletion SCX freezing
 // {gp, p, l, s} and finalizing {p, l, s}, and the SCX-free vcell overwrite.
+// The rebalance window runs on the chromatic tree, whose policy adds a
+// rebalancing step to the insertion's cleanup.
 
 import (
 	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/chromatic"
 	"repro/internal/ebst"
 	"repro/internal/linearize"
 	"repro/internal/sched"
@@ -142,6 +145,66 @@ func TestConflictWindowEnumerationLinearizable(t *testing.T) {
 			if schedules < tc.minSchedules {
 				t.Fatalf("explored %d schedules, want at least %d (the retry-free interleaving count)",
 					schedules, tc.minSchedules)
+			}
+			t.Logf("%d schedules, all linearizable", schedules)
+		})
+	}
+}
+
+// TestRebalanceWindowEnumerationLinearizable enumerates windows that reach
+// a chromatic rebalancing step: in the tree {10, 20, 30}, inserting 25
+// creates a red-red violation that its cleanup repairs with exactly one step
+// (checked sequentially first), and a deletion of an outer key races the
+// insertion's SCX and the step's SCX for the same records. Every schedule
+// must be strictly linearizable and leave a red-black tree. The points are
+// the commit side of SCX only (mark and update): admitting the freeze CASes
+// as well, or racing both deletions at once, takes a window past the
+// schedule cap.
+func TestRebalanceWindowEnumerationLinearizable(t *testing.T) {
+	prefill := func(insert func(k, v int64) (int64, bool)) {
+		for _, k := range []int64{10, 20, 30} {
+			insert(k, -k)
+		}
+	}
+	seq := chromatic.New()
+	prefill(seq.Insert)
+	before := seq.Stats().RebalanceTotal()
+	seq.Insert(25, 5)
+	if steps := seq.Stats().RebalanceTotal() - before; steps != 1 {
+		t.Fatalf("Insert(25) on {10, 20, 30} ran %d rebalancing steps, want 1", steps)
+	}
+
+	for _, del := range []int64{10, 30} {
+		t.Run(fmt.Sprintf("insert-25-vs-delete-%d", del), func(t *testing.T) {
+			const cap = 50000
+			schedules, violations := sched.Explore(sched.Options{
+				Points:       pointSet(sched.PointSCXMark, sched.PointSCXUpdate),
+				MaxSchedules: cap,
+			}, func(c *sched.Controller) error {
+				tr := chromatic.New()
+				rec := linearize.NewRecorder[int64, int64](tr)
+				prefill(rec.Proc().Insert)
+				w0, w1 := rec.Proc(), rec.Proc()
+				c.Go("insert-25", func() { w0.Insert(25, 5) })
+				c.Go("delete", func() { w1.Delete(del) })
+				if err := c.Run(); err != nil {
+					return err
+				}
+				post := rec.Proc()
+				for _, k := range []int64{10, 20, 25, 30} {
+					post.Get(k)
+				}
+				if err := tr.CheckRedBlack(); err != nil {
+					return err
+				}
+				return checkHistory(rec)
+			})
+			if len(violations) > 0 {
+				t.Fatalf("%d of %d schedules failed; first:\nschedule %v\n%v",
+					len(violations), schedules, violations[0].Schedule, violations[0].Err)
+			}
+			if schedules >= cap {
+				t.Fatalf("enumeration hit the %d-schedule cap: not exhaustive", cap)
 			}
 			t.Logf("%d schedules, all linearizable", schedules)
 		})
